@@ -23,6 +23,12 @@ use spanner_slp_core::{
 };
 use spanner_workloads::{corpus, queries};
 
+/// One series of a server's metrics scrape (see `spanner_server::metrics`).
+fn series(scrape: &str, name: &str) -> u64 {
+    spanner_server::metrics::value(scrape, name)
+        .unwrap_or_else(|| panic!("the scrape has no series {name}"))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let run = |name: &str| args.is_empty() || args.iter().any(|a| a.eq_ignore_ascii_case(name));
@@ -808,10 +814,11 @@ fn e11() {
             });
         }
     });
-    let (service_stats, server_stats) = admin.stats().expect("stats");
+    let scrape = admin.stats().expect("stats");
     println!(
         "overload (max_inflight=1, 8 clients × 25 counts): {} served, {} busy rejections, 0 dropped connections\n",
-        service_stats.count, server_stats.busy_rejections,
+        series(&scrape, "spanner_tasks_total{kind=\"count\"}"),
+        series(&scrape, "spanner_server_busy_rejections_total"),
     );
     admin.shutdown().expect("shutdown");
     tiny.join();
@@ -1813,27 +1820,24 @@ fn e16() {
             }
         });
 
-        let full = admin.stats_full().expect("stats");
-        let obs = full.obs.expect("servers export obs stats");
-        let hist = |id: u32| {
-            obs.tenants
-                .iter()
-                .find(|(t, _)| *t == id)
-                .map(|(_, h)| h.clone())
-                .unwrap_or_default()
+        let scrape = admin.stats().expect("stats");
+        let tenant = |id: u32, stat: &str| {
+            series(
+                &scrape,
+                &format!("spanner_request_duration_us_{stat}{{tenant=\"{id}\"}}"),
+            )
         };
-        let (light, heavy) = (hist(LIGHT), hist(HEAVY));
-        let hits = full.service.cache_hits;
-        let lookups = hits + full.service.cache_misses;
+        let hits = series(&scrape, "spanner_cache_hits_total");
+        let lookups = hits + series(&scrape, "spanner_cache_misses_total");
         println!(
             "{}",
             row(&[
                 label.to_string(),
-                light.count.to_string(),
-                light.percentile(0.50).to_string(),
-                light.percentile(0.95).to_string(),
-                light.percentile(0.99).to_string(),
-                heavy.percentile(0.99).to_string(),
+                tenant(LIGHT, "count").to_string(),
+                tenant(LIGHT, "p50").to_string(),
+                tenant(LIGHT, "p95").to_string(),
+                tenant(LIGHT, "p99").to_string(),
+                tenant(HEAVY, "p99").to_string(),
                 format!("{:.0}%", 100.0 * hits as f64 / lookups.max(1) as f64),
             ])
         );
@@ -1977,14 +1981,18 @@ fn e17() {
         let wall = started.elapsed();
         sender.join().expect("sender");
 
-        let full = admin.stats_full().expect("stats");
-        let obs = full.obs.expect("servers export obs stats");
-        // Server-side end-to-end latency (queue wait included): kind index
-        // 1 is model_check, 4 is enumerate.
-        let checks = &obs.kinds[1];
-        let scans = &obs.kinds[4];
-        assert_eq!(full.server.shed_expired + full.server.shed_overflow, 0);
-        check_p99[row_i] = checks.percentile(0.99);
+        // Server-side end-to-end latency (queue wait included).
+        let scrape = admin.stats().expect("stats");
+        let kind = |kind: &str, stat: &str| {
+            series(
+                &scrape,
+                &format!("spanner_request_duration_us_{stat}{{kind=\"{kind}\"}}"),
+            )
+        };
+        let shed = series(&scrape, "spanner_shed_total{reason=\"expired\"}")
+            + series(&scrape, "spanner_shed_total{reason=\"overflow\"}");
+        assert_eq!(shed, 0);
+        check_p99[row_i] = kind("model_check", "p99");
         scan_rate[row_i] = scans_total as f64 / wall.as_secs_f64();
         println!(
             "{}",
@@ -1995,9 +2003,9 @@ fn e17() {
                     "weighted-fair"
                 }
                 .to_string(),
-                checks.percentile(0.50).to_string(),
-                checks.percentile(0.99).to_string(),
-                scans.percentile(0.99).to_string(),
+                kind("model_check", "p50").to_string(),
+                check_p99[row_i].to_string(),
+                kind("enumerate", "p99").to_string(),
                 format!("{:.1}", scan_rate[row_i]),
                 format!("{:.2}", wall.as_secs_f64()),
             ])

@@ -1,6 +1,5 @@
 //! The two-stage evaluation engine: query-side preparation × document-side
-//! preparation, with the [`Engine`] compatibility wrapper over the
-//! concurrent [`Service`] pool.
+//! preparation, pooled by the concurrent [`Service`].
 //!
 //! The `O(|M| + size(S)·q³)` preprocessing of Lemma 6.5 factors cleanly into
 //! two independent halves plus one pair-dependent product:
@@ -17,39 +16,35 @@
 //!    and cached here, keyed by the query's unique token, in a concurrent
 //!    (optionally byte-budgeted) [`MatrixCache`] — so sharing a prepared
 //!    document across threads needs no locking on the caller's side.
-//! 3. **[`Engine`]** — the original pool API, now a thin wrapper over
-//!    [`Service`].  [`Engine::evaluate`] takes
-//!    `&self` and may run from any number of threads; for task-oriented
-//!    requests, per-request statistics and batch fan-out use the service
-//!    directly.
+//!
+//! The [`Service`] pools both stages and answers task requests over their
+//! cross-product from any number of threads.
 //!
 //! ```
 //! use slp::families;
 //! use spanner::regex;
-//! use spanner_slp_core::engine::Engine;
+//! use spanner_slp_core::engine::{PreparedDocument, PreparedQuery};
 //!
-//! let mut engine = Engine::new();
-//! let q = engine.add_query(&regex::compile(".*x{ab}.*", b"ab").unwrap());
-//! let d1 = engine.add_document(&families::power_word(b"ab", 100));
-//! let d2 = engine.add_document(&families::power_word(b"ab", 1000));
-//! assert_eq!(engine.evaluate(q, d1).count(), 100);
-//! assert_eq!(engine.evaluate(q, d2).count(), 1000);
-//! // The automaton-side transformation ran once; the matrices were built
-//! // once per document and are now cached.
-//! assert!(engine.evaluate(q, d2).is_non_empty());
+//! let query = PreparedQuery::determinized(&regex::compile(".*x{ab}.*", b"ab").unwrap());
+//! let d1 = PreparedDocument::new(&families::power_word(b"ab", 100));
+//! let d2 = PreparedDocument::new(&families::power_word(b"ab", 1000));
+//! // The automaton-side transformation ran once; each document builds the
+//! // pair's matrices on first use and caches them.
+//! assert!(!d1.matrices(&query).reachable_accepting().is_empty());
+//! assert!(!d2.matrices(&query).reachable_accepting().is_empty());
+//! assert_eq!(d2.cached_query_count(), 1);
 //! ```
 
 use crate::cache::{CacheLookup, CacheStats, MatrixCache, PairKey};
-use crate::error::EvalError;
 use crate::executor::{LocalExecutor, ShardExecutor};
 use crate::matrices::Preprocessed;
 use crate::prepared::{end_transform, EByte};
+#[cfg(doc)]
 use crate::service::Service;
 use crate::trace::ShardTrace;
-use crate::{compute, count, enumerate, model_check};
 use slp::shard::{self, ShardLayout, ShardedDocument};
 use slp::NormalFormSlp;
-use spanner::{MarkedSymbol, SpanTuple, SpannerAutomaton};
+use spanner::{MarkedSymbol, SpannerAutomaton};
 use spanner_automata::nfa::Nfa;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -81,7 +76,7 @@ pub struct PreparedQuery {
 impl PreparedQuery {
     /// Prepares a query without determinising: ε-transitions are removed,
     /// then the end-of-document transformation is applied.  Suitable for
-    /// [`compute`] (duplicate-elimination is built in); use
+    /// [`compute`](crate::compute) (duplicate-elimination is built in); use
     /// [`PreparedQuery::determinized`] for duplicate-free enumeration and
     /// counting.
     pub fn new(automaton: &SpannerAutomaton<u8>) -> Self {
@@ -160,8 +155,8 @@ impl PreparedQuery {
 /// A document can additionally be *sharded*
 /// ([`PreparedDocument::sharded`]): its SLP is cut at the start rule into
 /// `k` balanced sub-grammars whose matrix passes run independently and are
-/// merged at the root (see [`Preprocessed::build_sharded`]).  Evaluation
-/// results are identical to the monolithic path.
+/// merged at the root (see [`Preprocessed::build_sharded`]).  Every
+/// result is identical to the monolithic path.
 #[derive(Debug, Clone)]
 pub struct PreparedDocument {
     original: NormalFormSlp<u8>,
@@ -414,8 +409,7 @@ impl PreparedDocument {
     }
 }
 
-/// Identifier of a query registered in an [`Engine`] /
-/// [`Service`].
+/// Identifier of a query registered in a [`Service`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QueryId(pub(crate) usize);
 
@@ -426,8 +420,7 @@ impl QueryId {
     }
 }
 
-/// Identifier of a document registered in an [`Engine`] /
-/// [`Service`].
+/// Identifier of a document registered in a [`Service`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DocumentId(pub(crate) usize);
 
@@ -438,209 +431,38 @@ impl DocumentId {
     }
 }
 
-/// A pool of prepared queries and prepared documents with evaluation entry
-/// points over their cross-product — the original engine API, kept as a
-/// thin compatibility wrapper over [`Service`].
-///
-/// Queries are determinised on registration (so every task, including
-/// duplicate-free enumeration and counting, is available); documents are
-/// end-transformed on registration.  The expensive pair-dependent matrices
-/// are built lazily on first evaluation of a pair and cached in the
-/// service's shared pool.  [`Engine::evaluate`] takes `&self` and is safe
-/// to call from any number of threads; new code that wants per-request
-/// statistics, task-level requests, batch fan-out or bounded caches should
-/// use the service directly (available via [`Engine::service`]).
-#[derive(Debug, Default)]
-pub struct Engine {
-    service: Service,
-}
-
-impl Engine {
-    /// Creates an empty engine (a default-configured service pool).
-    pub fn new() -> Self {
-        Engine::default()
-    }
-
-    /// Wraps an existing service, sharing its pools and configuration.
-    pub fn from_service(service: Service) -> Self {
-        Engine { service }
-    }
-
-    /// The underlying service (task requests, batches, statistics).
-    pub fn service(&self) -> &Service {
-        &self.service
-    }
-
-    /// Consumes the engine into its service.
-    pub fn into_service(self) -> Service {
-        self.service
-    }
-
-    /// Registers a query, performing the automaton-side preparation
-    /// (ε-removal, determinisation, end-transformation) exactly once.
-    pub fn add_query(&mut self, automaton: &SpannerAutomaton<u8>) -> QueryId {
-        self.service.add_query(automaton)
-    }
-
-    /// Registers an already prepared query.
-    ///
-    /// The engine guarantees every pooled query is deterministic (so
-    /// [`Evaluation::count`] and [`Evaluation::enumerate`] are
-    /// duplicate-free); a query prepared with the non-determinising
-    /// [`PreparedQuery::new`] is upgraded here via its ε-free automaton.
-    pub fn add_prepared_query(&mut self, query: PreparedQuery) -> QueryId {
-        self.service.add_prepared_query(query)
-    }
-
-    /// Registers a document, performing the document-side preparation
-    /// (`D ↦ D·#`) exactly once.
-    pub fn add_document(&mut self, document: &NormalFormSlp<u8>) -> DocumentId {
-        self.service.add_document(document)
-    }
-
-    /// Registers an already prepared document.
-    pub fn add_prepared_document(&mut self, document: PreparedDocument) -> DocumentId {
-        self.service.add_prepared_document(document)
-    }
-
-    /// The prepared query behind an id.
-    pub fn query(&self, q: QueryId) -> Arc<PreparedQuery> {
-        self.service.query(q)
-    }
-
-    /// The prepared document behind an id.
-    pub fn document(&self, d: DocumentId) -> Arc<PreparedDocument> {
-        self.service.document(d)
-    }
-
-    /// Number of registered queries.
-    pub fn num_queries(&self) -> usize {
-        self.service.num_queries()
-    }
-
-    /// Number of registered documents.
-    pub fn num_documents(&self) -> usize {
-        self.service.num_documents()
-    }
-
-    /// Binds a (query, document) pair for evaluation, building (or fetching
-    /// from cache) the pair's matrices.  The returned [`Evaluation`] answers
-    /// all tasks of the paper without further preprocessing; it owns `Arc`s
-    /// into the pool, so it remains valid for as long as the caller keeps
-    /// it.
-    ///
-    /// For batches, use [`Service::run_batch`] (via [`Engine::service`]) —
-    /// it is the single fan-out point for scattering requests over
-    /// documents and shards.
-    pub fn evaluate(&self, q: QueryId, d: DocumentId) -> Evaluation {
-        self.service.evaluation(q, d)
-    }
-}
-
-/// A (query, document) pair bound for evaluation: all four tasks of the
-/// paper, answered from the shared preprocessing without repeating it.
-///
-/// The evaluation owns `Arc`s of both prepared stages and of the matrices,
-/// so it is `Send`, independent of pool locks, and stays valid even if the
-/// matrices are later evicted from the document's cache.
-#[derive(Debug, Clone)]
-pub struct Evaluation {
-    query: Arc<PreparedQuery>,
-    document: Arc<PreparedDocument>,
-    pre: Arc<Preprocessed>,
-}
-
-impl Evaluation {
-    /// Assembles an evaluation from its shared parts.
-    pub fn from_parts(
-        query: Arc<PreparedQuery>,
-        document: Arc<PreparedDocument>,
-        pre: Arc<Preprocessed>,
-    ) -> Self {
-        Evaluation {
-            query,
-            document,
-            pre,
-        }
-    }
-
-    /// The prepared query of this pair.
-    pub fn query(&self) -> &PreparedQuery {
-        &self.query
-    }
-
-    /// The prepared document of this pair.
-    pub fn document(&self) -> &PreparedDocument {
-        &self.document
-    }
-
-    /// The pair's matrices (Lemma 6.5).
-    pub fn matrices(&self) -> &Preprocessed {
-        &self.pre
-    }
-
-    /// The pair's matrices as a shareable `Arc`.
-    pub fn matrices_arc(&self) -> Arc<Preprocessed> {
-        self.pre.clone()
-    }
-
-    /// Non-emptiness `⟦M⟧(D) ≠ ∅` — `O(|F|)` after preprocessing, by
-    /// Lemma 6.3: the relation is the union of the root matrix entries
-    /// `M_{S₀}[q₀, j]` over accepting `j`, which are non-empty exactly for
-    /// the entries with `R_{S₀}[q₀, j] ≠ ⊥`.
-    pub fn is_non_empty(&self) -> bool {
-        !self.pre.reachable_accepting().is_empty()
-    }
-
-    /// Model checking `t ∈ ⟦M⟧(D)` (Theorem 5.1(2)).
-    pub fn check(&self, tuple: &SpanTuple) -> Result<bool, EvalError> {
-        model_check::check(self.query.automaton(), self.document.original(), tuple)
-    }
-
-    /// Computes the whole relation `⟦M⟧(D)` (Theorem 7.1).
-    pub fn compute(&self) -> Vec<SpanTuple> {
-        compute::compute_from_matrices(&self.pre)
-    }
-
-    /// Enumerates `⟦M⟧(D)` with `O(depth(S)·|X|)` delay (Theorem 8.10).
-    ///
-    /// Duplicate-free iff the query is deterministic (Lemma 8.8) — always
-    /// the case for pairs from an [`Engine`] or a default-policy
-    /// [`Service`]; under `ServiceBuilder::determinize(false)` individual
-    /// results of non-deterministic queries may repeat (the final remark of
-    /// Section 8).
-    pub fn enumerate(&self) -> enumerate::Enumeration<'_> {
-        enumerate::Enumeration::from_matrices(&self.pre)
-    }
-
-    /// Counts `|⟦M⟧(D)|` — in `O(size(S)·q³)` without enumerating for
-    /// deterministic queries (the counting recurrence needs the
-    /// disjointness of Lemma 8.8).  For a non-deterministic query (only
-    /// reachable via `ServiceBuilder::determinize(false)`) it falls back to
-    /// the duplicate-free compute pass of Theorem 7.1, so the answer is
-    /// exact either way.
-    pub fn count(&self) -> u128 {
-        if self.query.is_deterministic() {
-            count::count_from_matrices(&self.pre)
-        } else {
-            self.compute().len() as u128
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::Service;
     use crate::SlpSpanner;
     use slp::compress::{Bisection, Compressor};
     use slp::families;
     use spanner::examples::figure_2_spanner;
     use spanner::regex;
+    use spanner::SpanTuple;
     use std::collections::BTreeSet;
+
+    /// Count and result set of one pair, answered from its matrices.
+    fn answers(query: &PreparedQuery, document: &PreparedDocument) -> (u128, BTreeSet<SpanTuple>) {
+        let pre = document.matrices(query);
+        let tuples = crate::compute::compute_from_matrices(&pre);
+        (
+            crate::count::count_from_matrices(&pre),
+            tuples.into_iter().collect(),
+        )
+    }
+
+    /// The same pair through a fresh single-pair facade.
+    fn fresh(m: &SpannerAutomaton<u8>, doc: &NormalFormSlp<u8>) -> (u128, BTreeSet<SpanTuple>) {
+        let spanner = SlpSpanner::new(m, doc).unwrap();
+        (spanner.count(), spanner.compute().into_iter().collect())
+    }
 
     #[test]
     fn engine_matches_fresh_slp_spanner_per_pair() {
-        let mut engine = Engine::new();
+        // One prepared query serves every document and one prepared
+        // document every query; each pair still answers as if fresh.
         let queries = [
             figure_2_spanner(),
             regex::compile(".*x{ab}.*", b"abc").unwrap(),
@@ -650,54 +472,57 @@ mod tests {
             Bisection.compress(b"ababab"),
             families::power_word(b"ab", 64),
         ];
-        let qids: Vec<QueryId> = queries.iter().map(|m| engine.add_query(m)).collect();
-        let dids: Vec<DocumentId> = docs.iter().map(|d| engine.add_document(d)).collect();
-        for (m, &q) in queries.iter().zip(&qids) {
-            for (slp, &d) in docs.iter().zip(&dids) {
-                let fresh = SlpSpanner::new(m, slp).unwrap();
-                let eval = engine.evaluate(q, d);
-                assert_eq!(eval.is_non_empty(), fresh.is_non_empty());
-                assert_eq!(eval.count(), fresh.count());
-                let a: BTreeSet<SpanTuple> = eval.compute().into_iter().collect();
-                let b: BTreeSet<SpanTuple> = fresh.compute().into_iter().collect();
-                assert_eq!(a, b);
-                let e: BTreeSet<SpanTuple> = eval.enumerate().collect();
-                assert_eq!(e, a);
+        let prepared_queries: Vec<PreparedQuery> =
+            queries.iter().map(PreparedQuery::determinized).collect();
+        let prepared_docs: Vec<PreparedDocument> = docs.iter().map(PreparedDocument::new).collect();
+        for (m, query) in queries.iter().zip(&prepared_queries) {
+            for (doc, document) in docs.iter().zip(&prepared_docs) {
+                assert_eq!(answers(query, document), fresh(m, doc));
             }
         }
     }
 
     #[test]
+    fn sharded_documents_answer_identically_through_the_engine() {
+        let m = regex::compile(".*x{a+}y{b+}.*", b"ab").unwrap();
+        let doc = Bisection.compress(b"aabbaabbabab");
+        let query = PreparedQuery::determinized(&m);
+        for k in [2usize, 4, 8] {
+            let sharded = PreparedDocument::sharded(&doc, k);
+            assert!(sharded.is_sharded());
+            assert_eq!(sharded.shard_count(), k);
+            assert_eq!(answers(&query, &sharded), fresh(&m, &doc), "k={k}");
+        }
+    }
+
+    #[test]
     fn matrices_are_cached_per_pair() {
-        let mut engine = Engine::new();
-        let q1 = engine.add_query(&figure_2_spanner());
-        let q2 = engine.add_query(&regex::compile(".*x{ab}.*", b"abc").unwrap());
-        let d = engine.add_document(&Bisection.compress(b"aabccaabaa"));
-        assert_eq!(engine.document(d).cached_query_count(), 0);
-        engine.evaluate(q1, d);
-        assert_eq!(engine.document(d).cached_query_count(), 1);
-        // Same pair again: cache hit, no growth.
-        engine.evaluate(q1, d);
-        assert_eq!(engine.document(d).cached_query_count(), 1);
-        engine.evaluate(q2, d);
-        assert_eq!(engine.document(d).cached_query_count(), 2);
-        // The cached Arc is the same allocation on repeated use.
-        let a = engine
-            .document(d)
-            .cached_matrices(&engine.query(q1))
-            .unwrap();
-        let b = engine.evaluate(q1, d).matrices_arc();
-        assert!(Arc::ptr_eq(&a, &b));
+        let service = Service::new();
+        let q1 = service.add_query(&figure_2_spanner());
+        let q2 = service.add_query(&regex::compile(".*x{ab}.*", b"abc").unwrap());
+        let d = service.add_document(&Bisection.compress(b"aabccaabaa"));
+        let document = service.document(d);
+        assert_eq!(document.cached_query_count(), 0);
+        let first = document.matrices(&service.query(q1));
+        assert_eq!(document.cached_query_count(), 1);
+        // Same pair again: cache hit, no growth, the same allocation.
+        let again = document.matrices(&service.query(q1));
+        assert_eq!(document.cached_query_count(), 1);
+        assert!(Arc::ptr_eq(&first, &again));
+        document.matrices(&service.query(q2));
+        assert_eq!(document.cached_query_count(), 2);
+        let cached = document.cached_matrices(&service.query(q1)).unwrap();
+        assert!(Arc::ptr_eq(&cached, &first));
     }
 
     #[test]
     fn run_batch_through_the_service_covers_the_cross_product() {
         use crate::service::{Task, TaskRequest};
-        let mut engine = Engine::new();
-        let q = engine.add_query(&regex::compile(".*x{ab}.*", b"ab").unwrap());
+        let service = Service::new();
+        let q = service.add_query(&regex::compile(".*x{ab}.*", b"ab").unwrap());
         let dids: Vec<DocumentId> = [8u64, 32, 128]
             .iter()
-            .map(|&k| engine.add_document(&families::power_word(b"ab", k)))
+            .map(|&k| service.add_document(&families::power_word(b"ab", k)))
             .collect();
         let requests: Vec<TaskRequest> = dids
             .iter()
@@ -707,31 +532,11 @@ mod tests {
                 task: Task::Compute { limit: None },
             })
             .collect();
-        let results = engine.service().run_batch(&requests);
+        let results = service.run_batch(&requests);
         assert_eq!(results.len(), 3);
         for (result, &k) in results.into_iter().zip(&[8usize, 32, 128]) {
             let tuples = result.unwrap().outcome.into_tuples().unwrap();
             assert_eq!(tuples.len(), k);
-        }
-    }
-
-    #[test]
-    fn sharded_documents_answer_identically_through_the_engine() {
-        let query = regex::compile(".*x{a+}y{b+}.*", b"ab").unwrap();
-        let doc = Bisection.compress(b"aabbaabbabab");
-        let reference = SlpSpanner::new(&query, &doc).unwrap();
-        for k in [2usize, 4, 8] {
-            let mut engine = Engine::new();
-            let q = engine.add_query(&query);
-            let prepared = PreparedDocument::sharded(&doc, k);
-            assert!(prepared.is_sharded());
-            assert_eq!(prepared.shard_count(), k);
-            let d = engine.add_prepared_document(prepared);
-            let eval = engine.evaluate(q, d);
-            assert_eq!(eval.count(), reference.count(), "k={k}");
-            let a: BTreeSet<SpanTuple> = eval.compute().into_iter().collect();
-            let b: BTreeSet<SpanTuple> = reference.compute().into_iter().collect();
-            assert_eq!(a, b, "k={k}");
         }
     }
 
@@ -747,19 +552,31 @@ mod tests {
 
     #[test]
     fn add_prepared_query_upgrades_nondeterministic_queries() {
-        // The engine's count()/enumerate() rely on determinism; a query
-        // prepared with the non-determinising constructor is upgraded on
-        // registration so results stay duplicate-free.
+        // Count and enumerate rely on determinism; a query prepared with
+        // the non-determinising constructor is upgraded on registration so
+        // results stay duplicate-free.
+        use crate::service::{Task, TaskRequest};
         let nondet = regex::compile(".*x{a.*}.*", b"ab").unwrap();
         assert!(!nondet.is_deterministic());
-        let mut engine = Engine::new();
-        let q = engine.add_prepared_query(PreparedQuery::new(&nondet));
-        assert!(engine.query(q).is_deterministic());
-        let d = engine.add_document(&Bisection.compress(b"abab"));
-        let eval = engine.evaluate(q, d);
-        let computed = eval.compute();
-        assert_eq!(eval.count(), computed.len() as u128);
-        assert_eq!(eval.enumerate().count(), computed.len());
+        let service = Service::new();
+        let q = service.add_prepared_query(PreparedQuery::new(&nondet));
+        assert!(service.query(q).is_deterministic());
+        let d = service.add_document(&Bisection.compress(b"abab"));
+        let run = |task| {
+            let request = TaskRequest {
+                query: q,
+                doc: d,
+                task,
+            };
+            service.run(&request).unwrap().outcome
+        };
+        let computed = run(Task::Compute { limit: None }).into_tuples().unwrap();
+        assert_eq!(run(Task::Count).as_count(), Some(computed.len() as u128));
+        let enumerated = run(Task::Enumerate {
+            skip: 0,
+            limit: None,
+        });
+        assert_eq!(enumerated.into_tuples().unwrap().len(), computed.len());
     }
 
     #[test]
@@ -786,24 +603,20 @@ mod tests {
 
     #[test]
     fn evaluations_outlive_cache_eviction() {
-        // A tiny budget forces the second pair to evict the first; the
-        // in-flight Evaluation still answers from its own Arc.
+        // A tiny budget forces every pair out of the cache; matrices already
+        // handed out still answer from their own Arc.
         let service = Service::builder().cache_budget(1).build();
-        let engine = Engine::from_service(service);
-        let q1 = {
-            // add_* take &mut for compatibility; go through the service.
-            engine.service().add_query(&figure_2_spanner())
-        };
-        let q2 = engine
-            .service()
-            .add_query(&regex::compile(".*x{ab}.*", b"abc").unwrap());
-        let d = engine
-            .service()
-            .add_document(&Bisection.compress(b"aabccaabaa"));
-        let eval1 = engine.evaluate(q1, d);
-        let eval2 = engine.evaluate(q2, d);
-        assert_eq!(engine.document(d).cache_bytes(), 0, "budget of 1 byte");
-        assert!(eval1.is_non_empty());
-        assert_eq!(eval2.count(), eval2.compute().len() as u128);
+        let q1 = service.add_query(&figure_2_spanner());
+        let q2 = service.add_query(&regex::compile(".*x{ab}.*", b"abc").unwrap());
+        let d = service.add_document(&Bisection.compress(b"aabccaabaa"));
+        let document = service.document(d);
+        let pre1 = document.matrices(&service.query(q1));
+        let pre2 = document.matrices(&service.query(q2));
+        assert_eq!(document.cache_bytes(), 0, "budget of 1 byte");
+        assert!(!pre1.reachable_accepting().is_empty());
+        assert_eq!(
+            crate::count::count_from_matrices(&pre2),
+            crate::compute::compute_from_matrices(&pre2).len() as u128
+        );
     }
 }

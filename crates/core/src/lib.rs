@@ -20,8 +20,7 @@
 //! The convenience wrapper [`SlpSpanner`] bundles an automaton and a
 //! compressed document and exposes all four tasks.  For serving many
 //! queries over many documents — concurrently, with per-request statistics
-//! and memory-bounded matrix caches — use the [`service::Service`] layer
-//! (the [`engine::Engine`] pool remains as a thin compatibility wrapper).
+//! and memory-bounded matrix caches — use the [`service::Service`] layer.
 //!
 //! ```
 //! use slp::families;
@@ -56,7 +55,7 @@ pub mod prepared;
 pub mod service;
 pub mod trace;
 
-pub use engine::{DocumentId, Engine, Evaluation, PreparedDocument, PreparedQuery, QueryId};
+pub use engine::{DocumentId, PreparedDocument, PreparedQuery, QueryId};
 pub use error::EvalError;
 pub use executor::{LocalExecutor, ShardExecutor, ShardJob, ShardOutcome};
 pub use service::{
@@ -77,7 +76,7 @@ use spanner::{SpanTuple, SpannerAutomaton};
 /// transformation of [`engine::PreparedDocument`]) and the `O(|M| + s·q³)`
 /// pair preprocessing of Lemma 6.5 once; the individual tasks then reuse
 /// it.  To share those stages across many queries and documents, use
-/// [`engine::Engine`] instead.
+/// [`service::Service`] instead.
 #[derive(Debug)]
 pub struct SlpSpanner {
     prepared: PreparedEvaluation,

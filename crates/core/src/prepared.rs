@@ -34,7 +34,7 @@ pub enum EByte {
 ///
 /// The three parts are reusable independently: the query stage across other
 /// documents, the document stage across other queries, and the matrices
-/// whenever the same pair is evaluated again (see [`crate::engine::Engine`]).
+/// whenever the same pair is evaluated again (see [`crate::service::Service`]).
 #[derive(Debug)]
 pub struct PreparedEvaluation {
     /// The query-side stage: end-transformed, ε-free automaton over

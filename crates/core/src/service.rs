@@ -54,7 +54,7 @@
 //! ```
 
 use crate::cache::{CacheLookup, MatrixCache};
-use crate::engine::{DocumentId, Evaluation, PreparedDocument, PreparedQuery, QueryId};
+use crate::engine::{DocumentId, PreparedDocument, PreparedQuery, QueryId};
 use crate::error::EvalError;
 use crate::executor::{LocalExecutor, ShardExecutor};
 use crate::matrices::ShardBuildStats;
@@ -307,9 +307,9 @@ impl TaskKindCounts {
 /// Aggregate service counters, a snapshot of [`Service::stats`].
 ///
 /// `cache_hits + cache_misses` need not equal `requests`:
-/// [`Task::ModelCheck`] requests skip the cache entirely, while ad-hoc
-/// [`Service::evaluation`] bindings and the duplicate pre-build of
-/// [`Service::run_batch`] consult it without counting as requests.
+/// [`Task::ModelCheck`] requests skip the cache entirely, while the
+/// duplicate pre-build of [`Service::run_batch`] consults it without
+/// counting as requests.
 ///
 /// The snapshot is *request-atomic*: every request commits all its counter
 /// updates (request total, per-kind count, cache hit/miss) in one step, and
@@ -1167,20 +1167,6 @@ impl Service {
             .count()
     }
 
-    /// Binds a (query, document) pair for ad-hoc evaluation, building or
-    /// fetching the pair's matrices.  The returned [`Evaluation`] owns
-    /// `Arc`s into the pool, so it stays valid however long the caller
-    /// keeps it (even across later evictions).
-    pub fn evaluation(&self, q: QueryId, d: DocumentId) -> Evaluation {
-        let query = self.query(q);
-        let document = self.document(d);
-        let (pre, lookup) = document.matrices_with_stats(&query);
-        self.counters.commit(None, Some(&lookup));
-        self.record_shard_stats(d, &lookup);
-        self.sweep_if_removed(d, &document, &lookup);
-        Evaluation::from_parts(query, document, pre)
-    }
-
     /// Serves one request: fetches (or builds) the pair's matrices, answers
     /// the task, and reports what it cost.  Takes `&self` — see the module
     /// docs for the concurrency contract.
@@ -1998,10 +1984,6 @@ mod tests {
             det.compute().len(),
             "compute is duplicate-free even without determinisation"
         );
-        // The ad-hoc Evaluation path must not silently double-count either:
-        // count() falls back to the duplicate-free compute pass.
-        let eval = service.evaluation(q, d);
-        assert_eq!(eval.count(), det.count());
     }
 
     #[test]
@@ -2009,10 +1991,17 @@ mod tests {
         let service = Service::new();
         let q = service.add_query(&figure_2_spanner());
         let d = service.add_document(&Bisection.compress(b"aabccaabaa"));
-        let tuple = {
-            let eval = service.evaluation(q, d);
-            eval.compute().remove(0)
-        };
+        let tuple = service
+            .run(&TaskRequest {
+                query: q,
+                doc: d,
+                task: Task::Compute { limit: None },
+            })
+            .unwrap()
+            .outcome
+            .into_tuples()
+            .unwrap()
+            .remove(0);
         service.document(d).clear_cache();
         let response = service
             .run(&TaskRequest {

@@ -318,13 +318,12 @@ impl Hist {
     }
 }
 
-/// An owned histogram state: what crosses the wire in `stats` frames and
-/// what percentile estimation runs on.
+/// An owned histogram state: what scrapes render and what percentile
+/// estimation runs on.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HistSnapshot {
     /// Per-bucket (non-cumulative) observation counts; shorter vectors are
-    /// implicitly zero-padded to [`HIST_BUCKETS`] (wire frames trim
-    /// trailing zeros).
+    /// implicitly zero-padded to [`HIST_BUCKETS`].
     pub buckets: Vec<u64>,
     /// Total observations.
     pub count: u64,
@@ -350,9 +349,8 @@ impl HistSnapshot {
         self.sum += other.sum;
     }
 
-    /// Drops trailing zero buckets — the canonical wire form (codecs omit
-    /// them, so a snapshot must be trimmed before it crosses the wire for
-    /// `decode(encode(x)) == x` to hold).
+    /// Drops trailing zero buckets — a compact form that changes no
+    /// statistic (bucket lookups zero-pad).
     pub fn trimmed(mut self) -> HistSnapshot {
         while self.buckets.last() == Some(&0) {
             self.buckets.pop();

@@ -22,27 +22,23 @@
 //! compute <q> <d> <limit|->
 //! enum <q> <d> <skip> <limit|->
 //! trace <op> <args...>                # run any op sampled; print its span tree
-//! stats                               # scrape-friendly text export
+//! stats                               # the server's metrics scrape
 //! scrapelint                          # stats + well-formedness check
 //! shutdown
 //! ```
 //!
-//! Every reply is printed as one line — except `stats`, which exports
-//! every counter the server exposes (per-task-kind counts, per-tenant
-//! quota/cache rows, executor fallbacks, store metrics, and latency
-//! histograms with p50/p95/p99 quantiles) as `spanner_<name>[{labels}]
-//! <value>` lines, one metric per line, ready for a text-format scraper
-//! (`scrapelint` additionally validates that shape and fails loudly on a
-//! malformed line) — and `trace`, which re-runs any task command with
-//! sampling on and pretty-prints the stitched span tree the server
-//! returned, one indented line per span.  `busy` backpressure is retried
+//! Every reply is printed as one line — except `stats`, which prints the
+//! server's own scrape verbatim (`spanner_<name>[{labels}] <value>` lines,
+//! rendered server-side; `scrapelint` additionally validates that shape
+//! and fails loudly on a malformed line), and `trace`, which re-runs any
+//! task command with sampling on and pretty-prints the stitched span tree
+//! the server returned, one indented line per span.  `busy` backpressure is retried
 //! with a small backoff; any other server error aborts with exit code 1,
 //! so a CI script fails loudly.
 
 use spanner::{Span, SpanTuple, Variable};
-use spanner_server::{retry_busy, Client, ClientError, TenantSpec};
-use spanner_slp_core::service::Task;
-use spanner_slp_core::trace::{HistSnapshot, SpanRec};
+use spanner_server::{metrics, retry_busy, Client, ClientError, TenantSpec};
+use spanner_slp_core::trace::SpanRec;
 use std::io::{BufRead, BufReader};
 use std::time::Duration;
 
@@ -230,10 +226,10 @@ fn run_command(client: &mut Client, line: &str) -> Result<String, ClientError> {
                 None => Ok(format!("{output}\n(no trace returned)")),
             }
         }
-        "stats" => Ok(render_scrape(&client.stats_full()?)),
+        "stats" => client.stats(),
         "scrapelint" => {
-            let text = render_scrape(&client.stats_full()?);
-            match scrape_lint(&text) {
+            let text = client.stats()?;
+            match metrics::lint(&text) {
                 Ok(lines) => Ok(format!("{text}\nscrapelint ok lines={lines}")),
                 Err(e) => Err(ClientError::Protocol(format!("scrapelint: {e}"))),
             }
@@ -243,177 +239,6 @@ fn run_command(client: &mut Client, line: &str) -> Result<String, ClientError> {
             Ok("shutdown acknowledged".to_string())
         }
         other => Err(ClientError::Protocol(format!("unknown command '{other}'"))),
-    }
-}
-
-/// Renders the full stats answer as scrape-friendly text: one
-/// `spanner_<name>[{labels}] <value>` line per metric.
-fn render_scrape(full: &spanner_server::FullStats) -> String {
-    let mut out = Vec::new();
-    let s = &full.service;
-    for (name, value) in [
-        ("requests_total", s.requests),
-        ("cache_hits_total", s.cache_hits),
-        ("cache_misses_total", s.cache_misses),
-        ("cache_evictions_total", s.evictions),
-        ("cache_resident_bytes", s.resident_bytes),
-        ("cache_resident_entries", s.resident_entries),
-    ] {
-        out.push(format!("spanner_{name} {value}"));
-    }
-    for (kind, value) in [
-        ("nonemptiness", s.non_emptiness),
-        ("model_check", s.model_check),
-        ("count", s.count),
-        ("compute", s.compute),
-        ("enumerate", s.enumerate),
-    ] {
-        out.push(format!("spanner_tasks_total{{kind=\"{kind}\"}} {value}"));
-    }
-    let v = &full.server;
-    for (name, value) in [
-        ("connections_total", v.connections),
-        ("frames_total", v.frames),
-        ("busy_rejections_total", v.busy_rejections),
-        ("quota_rejections_total", v.quota_rejections),
-        ("malformed_frames_total", v.malformed_frames),
-        ("oversized_frames_total", v.oversized_frames),
-        ("pages_streamed_total", v.pages_streamed),
-        ("executor_fallbacks_total", v.remote_fallbacks),
-        ("executor_hedges_total", v.remote_hedges),
-        ("block_cache_hits_total", v.block_cache_hits),
-        ("block_cache_misses_total", v.block_cache_misses),
-        ("block_cache_evictions_total", v.block_cache_evictions),
-        ("block_cache_resident_bytes", v.block_cache_bytes),
-        ("reshards_total", v.reshards),
-        ("inflight", v.inflight),
-    ] {
-        out.push(format!("spanner_server_{name} {value}"));
-    }
-    for (class, depth) in [
-        ("cheap", v.queue_depth_cheap),
-        ("expensive", v.queue_depth_expensive),
-    ] {
-        out.push(format!("spanner_queue_depth{{class=\"{class}\"}} {depth}"));
-    }
-    for (reason, shed) in [("expired", v.shed_expired), ("overflow", v.shed_overflow)] {
-        out.push(format!("spanner_shed_total{{reason=\"{reason}\"}} {shed}"));
-    }
-    for t in &full.tenants {
-        let label = format!("{{tenant=\"{}\"}}", t.id);
-        for (name, value) in [
-            ("docs", t.docs),
-            ("docs_quota", t.max_docs),
-            ("corpus_bytes", t.corpus_bytes),
-            ("corpus_bytes_quota", t.max_corpus_bytes),
-            ("cache_resident_bytes", t.cache_resident),
-            ("cache_share_bytes", t.cache_share),
-            ("admission_weight", t.admission_weight as u64),
-            ("inflight", t.inflight),
-            ("busy_rejections_total", t.busy_rejections),
-            ("quota_rejections_total", t.quota_rejections),
-        ] {
-            out.push(format!("spanner_tenant_{name}{label} {value}"));
-        }
-    }
-    if let Some(store) = &full.store {
-        out.push(format!("spanner_store_log_records {}", store.log_records));
-        out.push(format!("spanner_store_log_bytes {}", store.log_bytes));
-        out.push(format!("spanner_store_last_seq {}", store.last_seq));
-        out.push(format!("spanner_store_snapshot_seq {}", store.snapshot_seq));
-        out.push(format!("spanner_store_snapshots_total {}", store.snapshots));
-        out.push(format!(
-            "spanner_store_snapshot_triggers_total{{trigger=\"cadence\"}} {}",
-            store.snapshots_on_cadence
-        ));
-        out.push(format!(
-            "spanner_store_snapshot_triggers_total{{trigger=\"size\"}} {}",
-            store.snapshots_on_size
-        ));
-        if let Some(age) = store.snapshot_age_secs {
-            out.push(format!("spanner_store_snapshot_age_seconds {age}"));
-        }
-    }
-    if let Some(obs) = &full.obs {
-        for (i, hist) in obs.kinds.iter().enumerate() {
-            let kind = Task::KIND_NAMES.get(i).copied().unwrap_or("unknown");
-            render_hist(
-                &mut out,
-                "spanner_request_duration_us",
-                &format!("kind=\"{kind}\""),
-                hist,
-            );
-        }
-        for (id, hist) in &obs.tenants {
-            render_hist(
-                &mut out,
-                "spanner_request_duration_us",
-                &format!("tenant=\"{id}\""),
-                hist,
-            );
-        }
-        render_hist(
-            &mut out,
-            "spanner_shard_pass_duration_us",
-            "",
-            &obs.shard_pass,
-        );
-        out.push(format!(
-            "spanner_executor_hedge_budget_us {}",
-            obs.hedge_budget_us
-        ));
-        out.push(format!(
-            "spanner_executor_hedge_window_samples {}",
-            obs.hedge_samples
-        ));
-        out.push(format!(
-            "spanner_store_compactions_total {}",
-            obs.compactions
-        ));
-        out.push(format!(
-            "spanner_store_compaction_duration_us{{stat=\"last\"}} {}",
-            obs.compaction_last_us
-        ));
-        out.push(format!(
-            "spanner_store_compaction_duration_us{{stat=\"total\"}} {}",
-            obs.compaction_total_us
-        ));
-    }
-    out.join("\n")
-}
-
-/// Renders one log2 histogram in cumulative Prometheus text shape —
-/// `_bucket{le=…}` lines ending at `le="+Inf"`, `_sum`, `_count` — plus
-/// p50/p95/p99 quantile gauges under `<name>_p<q>`.
-fn render_hist(out: &mut Vec<String>, name: &str, label: &str, hist: &HistSnapshot) {
-    let sep = if label.is_empty() { "" } else { "," };
-    let mut seen = 0u64;
-    for (i, bucket) in hist.buckets.iter().enumerate() {
-        seen += bucket;
-        out.push(format!(
-            "{name}_bucket{{{label}{sep}le=\"{}\"}} {seen}",
-            spanner_slp_core::trace::bucket_le(i)
-        ));
-    }
-    out.push(format!(
-        "{name}_bucket{{{label}{sep}le=\"+Inf\"}} {}",
-        hist.count
-    ));
-    let braces = |l: &str| {
-        if l.is_empty() {
-            String::new()
-        } else {
-            format!("{{{l}}}")
-        }
-    };
-    out.push(format!("{name}_sum{} {}", braces(label), hist.sum));
-    out.push(format!("{name}_count{} {}", braces(label), hist.count));
-    for (suffix, p) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
-        out.push(format!(
-            "{name}_{suffix}{} {}",
-            braces(label),
-            hist.percentile(p)
-        ));
     }
 }
 
@@ -451,125 +276,6 @@ fn render_trace(spans: &[SpanRec]) -> String {
         }
     }
     out.join("\n")
-}
-
-/// Validates scrape text well-formedness without a regex engine: every
-/// line must be `name{labels} value` with a legal metric name, properly
-/// quoted labels, and an unsigned integer value; `_bucket` families must
-/// be cumulative and end in a `le="+Inf"` bucket that matches the
-/// family's `_count`.  Returns the number of lines checked.
-/// One `_bucket` family during linting: the family key (metric name plus
-/// non-`le` labels), the `(le bound, cumulative value)` pairs seen so far, and
-/// the `+Inf` terminator value once it arrives.
-type BucketFamily = (String, Vec<(f64, u64)>, Option<u64>);
-
-fn scrape_lint(text: &str) -> Result<usize, String> {
-    let name_ok = |name: &str| {
-        !name.is_empty()
-            && !name.starts_with(|c: char| c.is_ascii_digit())
-            && name
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
-    };
-    let mut seen = std::collections::HashSet::new();
-    let mut families: Vec<BucketFamily> = Vec::new();
-    let mut counts: Vec<(String, u64)> = Vec::new();
-    let mut lines = 0;
-    for (lineno, line) in text.lines().enumerate() {
-        let lineno = lineno + 1;
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        lines += 1;
-        let (series, value) = line
-            .rsplit_once(' ')
-            .ok_or_else(|| format!("line {lineno}: no value separator"))?;
-        let value: u64 = value
-            .parse()
-            .map_err(|_| format!("line {lineno}: value '{value}' is not an unsigned integer"))?;
-        if !seen.insert(series.to_string()) {
-            return Err(format!("line {lineno}: duplicate series {series}"));
-        }
-        let (name, labels) = match series.split_once('{') {
-            None => (series, Vec::new()),
-            Some((name, rest)) => {
-                let body = rest
-                    .strip_suffix('}')
-                    .ok_or_else(|| format!("line {lineno}: unterminated label braces"))?;
-                let mut labels = Vec::new();
-                for pair in body.split(',') {
-                    let (key, val) = pair
-                        .split_once('=')
-                        .ok_or_else(|| format!("line {lineno}: label '{pair}' has no '='"))?;
-                    let val = val
-                        .strip_prefix('"')
-                        .and_then(|v| v.strip_suffix('"'))
-                        .ok_or_else(|| format!("line {lineno}: label '{pair}' is not quoted"))?;
-                    if !name_ok(key) || val.contains(['"', '\\', '\n']) {
-                        return Err(format!("line {lineno}: malformed label '{pair}'"));
-                    }
-                    labels.push((key.to_string(), val.to_string()));
-                }
-                (name, labels)
-            }
-        };
-        if !name_ok(name) {
-            return Err(format!("line {lineno}: malformed metric name '{name}'"));
-        }
-        let other_labels: Vec<String> = labels
-            .iter()
-            .filter(|(k, _)| k != "le")
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect();
-        if let Some(base) = name.strip_suffix("_bucket") {
-            let key = format!("{base}|{}", other_labels.join(","));
-            let le = &labels
-                .iter()
-                .find(|(k, _)| k == "le")
-                .ok_or_else(|| format!("line {lineno}: bucket without le label"))?
-                .1;
-            let slot = match families.iter_mut().find(|(k, _, _)| *k == key) {
-                Some(slot) => slot,
-                None => {
-                    families.push((key, Vec::new(), None));
-                    families.last_mut().expect("just pushed")
-                }
-            };
-            if le == "+Inf" {
-                slot.2 = Some(value);
-            } else {
-                let bound: f64 = le
-                    .parse()
-                    .map_err(|_| format!("line {lineno}: bucket bound '{le}' is not numeric"))?;
-                slot.1.push((bound, value));
-            }
-        } else if let Some(base) = name.strip_suffix("_count") {
-            counts.push((format!("{base}|{}", other_labels.join(",")), value));
-        }
-    }
-    for (key, buckets, inf) in &families {
-        let inf =
-            inf.ok_or_else(|| format!("bucket family {key} has no le=\"+Inf\" terminator"))?;
-        let mut last = (f64::NEG_INFINITY, 0u64);
-        for &(bound, cumulative) in buckets {
-            if bound <= last.0 {
-                return Err(format!("bucket family {key}: le bounds not increasing"));
-            }
-            if cumulative < last.1 {
-                return Err(format!("bucket family {key}: counts not cumulative"));
-            }
-            last = (bound, cumulative);
-        }
-        if last.1 > inf {
-            return Err(format!("bucket family {key}: +Inf below a finite bucket"));
-        }
-        if let Some((_, count)) = counts.iter().find(|(k, _)| k == key) {
-            if *count != inf {
-                return Err(format!("bucket family {key}: +Inf != _count"));
-            }
-        }
-    }
-    Ok(lines)
 }
 
 /// Parses `x0=1,3 x1=- …` into a span-tuple (variable index, then
@@ -618,71 +324,6 @@ fn render_tuples(tuples: &[SpanTuple]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn hist_with(samples: &[u64]) -> HistSnapshot {
-        let hist = spanner_slp_core::trace::Hist::new();
-        for &s in samples {
-            hist.observe(s);
-        }
-        hist.snapshot().trimmed()
-    }
-
-    #[test]
-    fn rendered_histograms_pass_the_lint() {
-        let mut out = Vec::new();
-        render_hist(
-            &mut out,
-            "spanner_request_duration_us",
-            "kind=\"count\"",
-            &hist_with(&[1, 5, 5, 900, 40_000]),
-        );
-        render_hist(
-            &mut out,
-            "spanner_shard_pass_duration_us",
-            "",
-            &hist_with(&[]),
-        );
-        let text = out.join("\n");
-        assert_eq!(scrape_lint(&text).unwrap(), out.len());
-        // The cumulative terminator equals the sample count.
-        assert!(text.contains("le=\"+Inf\"} 5"));
-        assert!(text.contains("spanner_request_duration_us_count{kind=\"count\"} 5"));
-    }
-
-    #[test]
-    fn lint_rejects_malformed_lines() {
-        for (bad, why) in [
-            ("spanner_x", "no value separator"),
-            ("spanner_x notanumber", "non-numeric value"),
-            ("9leading_digit 3", "bad metric name"),
-            ("spanner_x{unquoted=3} 1", "unquoted label"),
-            ("spanner_x{k=\"v\" 1", "unterminated braces"),
-            ("spanner_x 1\nspanner_x 2", "duplicate series"),
-            ("spanner_x_bucket{le=\"1\"} 1", "no +Inf terminator"),
-            (
-                "spanner_x_bucket{le=\"2\"} 5\nspanner_x_bucket{le=\"1\"} 1\nspanner_x_bucket{le=\"+Inf\"} 5",
-                "bounds out of order",
-            ),
-            (
-                "spanner_x_bucket{le=\"1\"} 5\nspanner_x_bucket{le=\"2\"} 3\nspanner_x_bucket{le=\"+Inf\"} 5",
-                "not cumulative",
-            ),
-            (
-                "spanner_x_bucket{le=\"1\"} 5\nspanner_x_bucket{le=\"+Inf\"} 5\nspanner_x_count 4",
-                "+Inf disagrees with _count",
-            ),
-        ] {
-            assert!(scrape_lint(bad).is_err(), "lint accepted: {why}");
-        }
-    }
-
-    #[test]
-    fn lint_accepts_plain_counters_and_labelled_gauges() {
-        let text = "spanner_requests_total 12\n\
-                    spanner_tenant_docs{tenant=\"7\"} 3\n\
-                    spanner_store_compaction_duration_us{stat=\"last\"} 0";
-        assert_eq!(scrape_lint(text).unwrap(), 3);
-    }
 
     #[test]
     fn trace_rendering_indents_children_under_parents() {

@@ -6,7 +6,7 @@
 //!
 //! [`Client`] keeps the lock-step discipline (one request, then its
 //! response — or its page stream): a simple synchronous state machine
-//! whose frames carry no request id, byte-identical to a v2 client.
+//! whose frames carry no request id.
 //! [`PipelinedClient`] tags every submission with a fresh id and lets the
 //! server complete them out of order — `submit` as fast as the socket
 //! accepts, then `poll` replies in completion order.  Server-side errors
@@ -14,10 +14,7 @@
 //! so callers can distinguish backpressure ([`ErrorCode::Busy`] — retry)
 //! and deadline shedding ([`ErrorCode::Expired`]) from real failures.
 
-use crate::proto::{
-    ErrorCode, FrameMeta, ProtoError, Request, Response, WireObsStats, WireServerStats,
-    WireServiceStats, WireStats, WireStoreStats, WireTask, WireTenantStats,
-};
+use crate::proto::{ErrorCode, FrameMeta, ProtoError, Request, Response, WireStats, WireTask};
 use spanner::SpanTuple;
 use spanner_slp_core::trace::{splitmix64, SpanRec};
 use spanner_store::TenantSpec;
@@ -102,29 +99,12 @@ pub struct DocReceipt {
     pub len: u64,
 }
 
-/// The full `stats` answer: service, transport, per-tenant rows and (on a
-/// durable server) store metrics.
-#[derive(Debug, Clone, Default)]
-pub struct FullStats {
-    /// Service-wide evaluation counters.
-    pub service: WireServiceStats,
-    /// Transport-level counters.
-    pub server: WireServerStats,
-    /// One row per known tenant, ascending by id.
-    pub tenants: Vec<WireTenantStats>,
-    /// Durable-store metrics; `None` on an in-memory server.
-    pub store: Option<WireStoreStats>,
-    /// Latency histograms and compaction timings; `None` on servers
-    /// predating the tracing subsystem.
-    pub obs: Option<WireObsStats>,
-}
-
 /// A connected protocol client.
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
     /// The tenant namespace corpus verbs and tasks run in; `0` (the
-    /// default tenant) keeps frames byte-identical to pre-tenancy clients.
+    /// default tenant) keeps the tenant key off the wire.
     tenant: u32,
     /// When `true`, every task request carries a fresh trace id (`"tr"`)
     /// and the server's span tree is captured in [`Client::last_trace`].
@@ -419,30 +399,12 @@ impl Client {
         }
     }
 
-    /// Snapshots the server's service-wide and transport-level counters.
-    /// See [`Client::stats_full`] for the tenant and store breakdowns.
-    pub fn stats(&mut self) -> Result<(WireServiceStats, WireServerStats), ClientError> {
-        self.stats_full().map(|full| (full.service, full.server))
-    }
-
-    /// Snapshots everything the `stats` verb exports: service counters,
-    /// transport counters, per-tenant rows, durable-store metrics and the
-    /// observability block (histograms, hedge window, compaction timings).
-    pub fn stats_full(&mut self) -> Result<FullStats, ClientError> {
+    /// Scrapes every metric the server exports, as Prometheus text (one
+    /// `name{labels} value` line per series; read single series back with
+    /// [`crate::metrics::value`]).
+    pub fn stats(&mut self) -> Result<String, ClientError> {
         match self.call(&Request::Stats)? {
-            Response::Stats {
-                service,
-                server,
-                tenants,
-                store,
-                obs,
-            } => Ok(FullStats {
-                service,
-                server,
-                tenants,
-                store,
-                obs,
-            }),
+            Response::Stats { text } => Ok(text),
             other => Err(unexpected("stats", &other)),
         }
     }
@@ -493,7 +455,7 @@ impl PipelinedReply {
 ///
 /// The server bounds the in-flight window per connection
 /// (`pipeline_window`); past it, submissions block in TCP rather than
-/// drawing errors.  For lock-step semantics (and v2 servers), use
+/// drawing errors.  For lock-step semantics, use
 /// [`Client`].
 pub struct PipelinedClient {
     reader: BufReader<TcpStream>,

@@ -32,6 +32,9 @@
 //!   results are never lost).
 //! * [`blockcache`] — the worker-resident byte-budgeted LRU of decoded
 //!   blocks behind the negotiation.
+//! * [`metrics`] — the server's one metrics path: the `stats` verb answers
+//!   with Prometheus text the server renders itself, and this module holds
+//!   its writer, the shape linter and a single-series lookup.
 //!
 //! Two binaries ship with the crate: `spanner-server` (boot a server, a
 //! `--worker` shard-pass engine, or a `--workers a,b` front-end over a
@@ -59,6 +62,7 @@
 
 pub mod blockcache;
 pub mod client;
+pub mod metrics;
 pub mod proto;
 pub mod remote;
 pub mod server;
@@ -68,13 +72,8 @@ pub mod server;
 // working for the protocol and its tests.
 pub use spanner_store::json;
 
-pub use client::{
-    retry_busy, Client, ClientError, DocReceipt, FullStats, PipelinedClient, PipelinedReply,
-};
-pub use proto::{
-    ErrorCode, FrameMeta, Request, Response, WireNfa, WireObsStats, WireStoreStats, WireTask,
-    WireTenantStats, PROTOCOL_VERSION,
-};
+pub use client::{retry_busy, Client, ClientError, DocReceipt, PipelinedClient, PipelinedReply};
+pub use proto::{ErrorCode, FrameMeta, Request, Response, WireNfa, WireTask, PROTOCOL_VERSION};
 pub use remote::RemoteExecutor;
 pub use server::{
     PersistenceOptions, RecoveryReport, ReshardOptions, Server, ServerConfig, ServerOptions,

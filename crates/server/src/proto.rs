@@ -8,30 +8,22 @@
 //! self-describing: `"ok":true` plus a payload-specific key, `"ok":false`
 //! plus an [`ErrorCode`], or a `"page"` frame inside an enumeration stream.
 //!
-//! Version 2 packs the `shard_build` payloads: scatter ships the rule
-//! block as a base64 varint stream and gather ships the three-valued
-//! summaries as base64 bitplanes (2 bits per entry) instead of the v1
-//! one-byte-per-entry `B`/`E`/`N` string.  Decoding still accepts v1
-//! frames — the version check admits everything down to
-//! [`LEGACY_PROTOCOL_VERSION`], and the `rules`/`rows` keys fall back to
-//! the v1 shapes — so a v3 coordinator interoperates with v1 workers
-//! during a rolling upgrade.
+//! The `shard_build` payloads are packed: scatter ships the rule block as
+//! a base64 varint stream and gather ships the three-valued summaries as
+//! base64 bitplanes (2 bits per entry).
 //!
-//! ## Pipelining (v3)
+//! ## Pipelining
 //!
-//! Version 3 adds an *envelope* around any request: an optional request
-//! id (`"rid"`) and an optional deadline (`"dl"`, a budget in
-//! microseconds from server receipt).  Both ride [`FrameMeta`] and obey
-//! the same optional-key discipline as tenancy and tracing: a zero id or
-//! deadline is never emitted, so frames without them are byte-identical
-//! to v2 frames (modulo the version number) and v2 clients keep working
-//! unchanged.  A frame carrying a non-zero `"rid"` opts into *pipelined*
+//! Any request may carry an *envelope*: an optional request id (`"rid"`)
+//! and an optional deadline (`"dl"`, a budget in microseconds from server
+//! receipt).  Both ride [`FrameMeta`] and obey the same optional-key
+//! discipline as tenancy and tracing: a zero id or deadline is never
+//! emitted.  A frame carrying a non-zero `"rid"` opts into *pipelined*
 //! dispatch: the server may answer it out of order, and every response
 //! frame belonging to it — including streamed `page` frames — carries
 //! the id back under the same `"rid"` key.  Frames without an id keep
 //! the lock-step contract: they are executed inline, in order, and their
-//! responses carry no `"rid"` key at all (so they stay byte-identical to
-//! what a v2 server would have sent).
+//! responses carry no `"rid"` key at all.
 //!
 //! The encode/decode pair is *canonical*: `decode(encode(x)) == x` for
 //! every [`Request`] and [`Response`], and `encode(decode(bytes)) == bytes`
@@ -51,7 +43,7 @@
 //! | `shard_build`       | `q` + `planes` + `elapsed_us` |
 //! | `tenant_create`     | `tenant` (+ `created`)        |
 //! | `tenant_update`     | `tenant` (+ `created`)        |
-//! | `stats`             | `service` + `server` (+ `tenants`, `store`) |
+//! | `stats`             | `metrics` (Prometheus text, see [`crate::metrics`]) |
 //! | `shutdown`          | `shutting_down`               |
 //!
 //! Any request can instead draw `{"ok":false,"error":<code>,"detail":…}`.
@@ -60,10 +52,9 @@
 //!
 //! Document-bearing verbs (`add_doc`, `add_doc_sharded`, `remove_doc`,
 //! `task`) carry an *optional* tenant id under the `"t"` key.  An absent
-//! field means the default tenant (id 0), so every frame an older v2 (or
-//! v1) client produces keeps working unchanged — and the field is *only
-//! emitted when non-zero*, so default-tenant frames are byte-identical to
-//! the pre-tenancy encoding (the canonicality contract survives).
+//! field means the default tenant (id 0), and the field is *only emitted
+//! when non-zero*, so default-tenant frames carry no tenant key at all
+//! (the canonicality contract survives).
 //! Document ids are namespaced per tenant: tenant 3's doc 0 and tenant 7's
 //! doc 0 are different documents, and ids never resolve across tenants.
 
@@ -73,27 +64,19 @@ use spanner::{MarkedSymbol, MarkerSet, Span, SpanTuple, Variable};
 use spanner_automata::nfa::{Label, Nfa};
 use spanner_slp_core::matrices::{REntry, RMatrix};
 use spanner_slp_core::prepared::EByte;
-use spanner_slp_core::service::{RequestStats, ServiceStats, Task};
-use spanner_slp_core::trace::{HistSnapshot, SpanRec};
+use spanner_slp_core::service::{RequestStats, Task};
+use spanner_slp_core::trace::SpanRec;
 use spanner_store::verbs::{spec_from_json, spec_to_json};
-use spanner_store::{StoreMetrics, TenantSpec};
+use spanner_store::TenantSpec;
 use std::fmt;
 
-/// The protocol version this build speaks (and emits).
+/// The protocol version this build speaks, emits and accepts.
 pub const PROTOCOL_VERSION: u64 = 3;
 
-/// The oldest protocol version this build still decodes: v1 frames carry
-/// `shard_build` rules as a JSON array and summary rows as one byte per
-/// entry; both shapes are recognised by the decoders below.  Every
-/// version in `LEGACY_PROTOCOL_VERSION..=PROTOCOL_VERSION` is admitted
-/// (v2 frames are v3 frames without the pipelining envelope).
-pub const LEGACY_PROTOCOL_VERSION: u64 = 1;
-
-/// The per-frame pipelining envelope (v3): a request id and a deadline.
+/// The per-frame pipelining envelope: a request id and a deadline.
 ///
 /// `id == 0` means "not pipelined" — the frame is handled inline, in
-/// order, exactly as a v2 server would, and its responses carry no
-/// `"rid"` key.  A non-zero id opts the frame into out-of-order
+/// order, and its responses carry no `"rid"` key.  A non-zero id opts the frame into out-of-order
 /// completion; every response belonging to it echoes the id.
 ///
 /// `deadline_us == 0` means "no deadline".  A non-zero deadline is a
@@ -491,7 +474,7 @@ impl WireNfa {
 }
 
 // ---------------------------------------------------------------------------
-// Packed payload helpers (v2): base64 + varints
+// Packed payload helpers: base64 + varints
 // ---------------------------------------------------------------------------
 
 const B64_ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
@@ -604,8 +587,8 @@ const RULE_TAG_PAIR: u8 = 2;
 /// rule a tag byte, then for leaves the terminal byte and for `A → BC`
 /// pairs the zigzag deltas `index − b`, `index − c` (children of real
 /// blocks sit just below their parent, so the deltas are tiny varints).
-/// Roughly 3× fewer characters than the v1 JSON array of
-/// numbers-and-pairs — the dominant share of the scatter leg.
+/// Roughly 3× fewer characters than a JSON array of numbers-and-pairs —
+/// the dominant share of the scatter leg.
 fn rules_to_json(rules: &[NfRule<EByte>]) -> Json {
     let mut packed = Vec::with_capacity(rules.len() * 3);
     for (index, rule) in rules.iter().enumerate() {
@@ -625,86 +608,51 @@ fn rules_to_json(rules: &[NfRule<EByte>]) -> Json {
     Json::Str(b64_encode(&packed))
 }
 
-/// Decodes a shard rule block: the v2 packed stream (a base64 string), or
-/// the v1 JSON array of leaves and `[b, c]` pairs.
+/// Decodes a shard rule block from its packed base64 stream.
 fn rules_from_json(value: &Json) -> Result<Vec<NfRule<EByte>>, ProtoError> {
-    if let Some(text) = value.as_str() {
-        let packed = b64_decode(text)?;
-        let mut rules = Vec::new();
-        let mut pos = 0usize;
-        while pos < packed.len() {
-            let tag = packed[pos];
-            pos += 1;
-            rules.push(match tag {
-                RULE_TAG_BYTE => {
-                    let &b = packed
-                        .get(pos)
-                        .ok_or_else(|| ProtoError::Malformed("truncated leaf rule".into()))?;
-                    pos += 1;
-                    NfRule::Leaf(EByte::Byte(b))
-                }
-                RULE_TAG_END => NfRule::Leaf(EByte::End),
-                RULE_TAG_PAIR => {
-                    let index = rules.len() as i64;
-                    let mut child = |what: &str| -> Result<NonTerminal, ProtoError> {
-                        let delta = unzigzag(varint_read(&packed, &mut pos)?);
-                        index
-                            .checked_sub(delta)
-                            .and_then(|c| u32::try_from(c).ok())
-                            .map(NonTerminal)
-                            .ok_or_else(|| {
-                                ProtoError::Malformed(format!("{what} index out of range"))
-                            })
-                    };
-                    let b = child("left child")?;
-                    let c = child("right child")?;
-                    NfRule::Pair(b, c)
-                }
-                other => return Err(ProtoError::Malformed(format!("unknown rule tag {other}"))),
-            });
-        }
-        return Ok(rules);
-    }
-    value
-        .as_arr()
-        .ok_or_else(|| ProtoError::Malformed("rules is neither a string nor an array".into()))?
-        .iter()
-        .map(|rule| {
-            if let Some(n) = rule.as_u64() {
-                let b = u8::try_from(n)
-                    .map_err(|_| ProtoError::Malformed(format!("leaf byte {n} out of range")))?;
-                return Ok(NfRule::Leaf(EByte::Byte(b)));
+    let text = value
+        .as_str()
+        .ok_or_else(|| ProtoError::Malformed("rules is not a string".into()))?;
+    let packed = b64_decode(text)?;
+    let mut rules = Vec::new();
+    let mut pos = 0usize;
+    while pos < packed.len() {
+        let tag = packed[pos];
+        pos += 1;
+        rules.push(match tag {
+            RULE_TAG_BYTE => {
+                let &b = packed
+                    .get(pos)
+                    .ok_or_else(|| ProtoError::Malformed("truncated leaf rule".into()))?;
+                pos += 1;
+                NfRule::Leaf(EByte::Byte(b))
             }
-            if let Some(s) = rule.as_str() {
-                if s == b"end" {
-                    return Ok(NfRule::Leaf(EByte::End));
-                }
-                return Err(ProtoError::Malformed(format!(
-                    "unknown leaf '{}'",
-                    String::from_utf8_lossy(s)
-                )));
-            }
-            if let Some([b, c]) = rule.as_arr() {
-                let index = |v: &Json, what: &str| -> Result<u32, ProtoError> {
-                    u32::try_from(number(v, what)?)
-                        .map_err(|_| ProtoError::Malformed(format!("{what} out of range")))
+            RULE_TAG_END => NfRule::Leaf(EByte::End),
+            RULE_TAG_PAIR => {
+                let index = rules.len() as i64;
+                let mut child = |what: &str| -> Result<NonTerminal, ProtoError> {
+                    let delta = unzigzag(varint_read(&packed, &mut pos)?);
+                    index
+                        .checked_sub(delta)
+                        .and_then(|c| u32::try_from(c).ok())
+                        .map(NonTerminal)
+                        .ok_or_else(|| ProtoError::Malformed(format!("{what} index out of range")))
                 };
-                return Ok(NfRule::Pair(
-                    NonTerminal(index(b, "left child")?),
-                    NonTerminal(index(c, "right child")?),
-                ));
+                let b = child("left child")?;
+                let c = child("right child")?;
+                NfRule::Pair(b, c)
             }
-            Err(ProtoError::Malformed("unrecognised rule".into()))
-        })
-        .collect()
+            other => return Err(ProtoError::Malformed(format!("unknown rule tag {other}"))),
+        });
+    }
+    Ok(rules)
 }
 
 /// Encodes summary matrices as base64 bitplanes: per rule, the `nonbot`
 /// plane's `q²` bits (entry `(i,j)` at bit `i·q + j`, LSB-first within
 /// bytes) rounded up to whole bytes, then the `nonempty` plane likewise —
-/// 2 bits per three-valued entry, ~3× fewer wire characters than the v1
-/// one-byte-per-entry string, and the full marker-set matrices of
-/// Lemma 6.5 still never cross the wire.
+/// 2 bits per three-valued entry; the full marker-set matrices of
+/// Lemma 6.5 never cross the wire.
 fn planes_to_json(rows: &[RMatrix]) -> Json {
     let mut packed = Vec::new();
     for matrix in rows {
@@ -792,46 +740,6 @@ fn planes_from_json(value: &Json, q: u64) -> Result<Vec<RMatrix>, ProtoError> {
         .collect()
 }
 
-/// Decodes v1 summary rows (`B`/`E`/`N`, one byte per entry) — the legacy
-/// fallback behind the `rows` response key.
-fn legacy_rows_from_json(value: &Json, q: u64) -> Result<Vec<RMatrix>, ProtoError> {
-    let bytes = value
-        .as_str()
-        .ok_or_else(|| ProtoError::Malformed("rows is not a string".into()))?;
-    let cell = q
-        .checked_mul(q)
-        .and_then(|c| usize::try_from(c).ok())
-        .filter(|&c| c > 0)
-        .ok_or_else(|| ProtoError::Malformed("q is zero or out of range".into()))?;
-    if !bytes.len().is_multiple_of(cell) {
-        return Err(ProtoError::Malformed(format!(
-            "row bytes ({}) are not a multiple of q² ({cell})",
-            bytes.len()
-        )));
-    }
-    let q = q as usize;
-    bytes
-        .chunks(cell)
-        .map(|chunk| {
-            let mut matrix = RMatrix::bot(q);
-            for (idx, b) in chunk.iter().enumerate() {
-                let entry = match b {
-                    b'B' => REntry::Bot,
-                    b'E' => REntry::Empty,
-                    b'N' => REntry::NonEmpty,
-                    other => {
-                        return Err(ProtoError::Malformed(format!(
-                            "unknown summary entry 0x{other:02x}"
-                        )))
-                    }
-                };
-                matrix.set(idx / q, idx % q, entry);
-            }
-            Ok(matrix)
-        })
-        .collect()
-}
-
 /// A client→server frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
@@ -867,8 +775,7 @@ pub enum Request {
         /// omitted on the wire when 0).  Queries are shared across tenants.
         tenant: u32,
         /// Trace id of a *sampled* request (0 = unsampled; omitted on the
-        /// wire when 0, so untraced frames stay byte-identical to the
-        /// pre-tracing encoding).  A non-zero id asks the server to record
+        /// wire when 0).  A non-zero id asks the server to record
         /// spans and return them in the response's `"trace"` field.
         trace: u64,
         /// Wire id of the pooled query.
@@ -911,8 +818,7 @@ pub enum Request {
     /// the hashed value in its block cache runs the pass as usual; one
     /// that does not answers [`Response::NeedBlocks`] naming the missing
     /// halves, and the coordinator re-sends the frame with the bytes
-    /// inline.  A frame naming *neither* the bytes nor a hash for a half
-    /// is malformed.
+    /// inline.  Both hashes are always present.
     ShardBuild {
         /// The query's end-transformed, ε-free automaton; `None` ships
         /// only `nfa_hash`.
@@ -922,12 +828,10 @@ pub enum Request {
         rules: Option<Vec<NfRule<EByte>>>,
         /// Local index of the block's root rule.
         root: u64,
-        /// Content hash of the automaton ([`WireNfa::content_hash`]); 0 =
-        /// not negotiated (legacy frame).
+        /// Content hash of the automaton ([`WireNfa::content_hash`]).
         nfa_hash: u64,
         /// Content hash of the rule block
-        /// ([`slp::block_content_hash`] over `(rules, root)`); 0 = not
-        /// negotiated (legacy frame).
+        /// ([`slp::block_content_hash`] over `(rules, root)`).
         block_hash: u64,
         /// Trace id of the sampled request this pass belongs to (0 =
         /// unsampled; omitted on the wire when 0).  A worker receiving a
@@ -935,345 +839,10 @@ pub enum Request {
         /// [`Response::ShardBuilt`].
         trace: u64,
     },
-    /// Snapshot the service-wide and server-level counters.
+    /// Scrape every metric the server exports.
     Stats,
     /// Begin a graceful shutdown: drain in-flight work, then exit.
     Shutdown,
-}
-
-/// Cumulative service counters as spoken on the wire (see
-/// [`ServiceStats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WireServiceStats {
-    /// Total requests served.
-    pub requests: u64,
-    /// Non-emptiness requests.
-    pub non_emptiness: u64,
-    /// Model-checking requests.
-    pub model_check: u64,
-    /// Counting requests.
-    pub count: u64,
-    /// Compute requests.
-    pub compute: u64,
-    /// Enumeration requests.
-    pub enumerate: u64,
-    /// Matrix-cache hits.
-    pub cache_hits: u64,
-    /// Matrix-cache misses (builds).
-    pub cache_misses: u64,
-    /// Matrix sets evicted under the byte budget.
-    pub evictions: u64,
-    /// Bytes of matrices currently resident.
-    pub resident_bytes: u64,
-    /// Matrix sets currently resident.
-    pub resident_entries: u64,
-}
-
-impl From<&ServiceStats> for WireServiceStats {
-    fn from(s: &ServiceStats) -> Self {
-        WireServiceStats {
-            requests: s.requests,
-            non_emptiness: s.by_task.non_emptiness,
-            model_check: s.by_task.model_check,
-            count: s.by_task.count,
-            compute: s.by_task.compute,
-            enumerate: s.by_task.enumerate,
-            cache_hits: s.cache_hits,
-            cache_misses: s.cache_misses,
-            evictions: s.evictions,
-            resident_bytes: s.resident_bytes as u64,
-            resident_entries: s.resident_entries as u64,
-        }
-    }
-}
-
-/// Server-level counters (transport concerns the service layer cannot
-/// see), the other half of a [`Response::Stats`] frame.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WireServerStats {
-    /// Connections accepted over the server's lifetime.
-    pub connections: u64,
-    /// Frames received (including rejected ones).
-    pub frames: u64,
-    /// Requests answered with [`ErrorCode::Busy`].
-    pub busy_rejections: u64,
-    /// Frames answered with [`ErrorCode::Malformed`] or
-    /// [`ErrorCode::Version`].
-    pub malformed_frames: u64,
-    /// Frames answered with [`ErrorCode::Oversized`].
-    pub oversized_frames: u64,
-    /// Enumeration pages flushed to clients.
-    pub pages_streamed: u64,
-    /// Requests executing right now.
-    pub inflight: u64,
-    /// Requests answered with [`ErrorCode::Quota`].
-    pub quota_rejections: u64,
-    /// Remote shard passes that fell back to local execution (0 when no
-    /// worker pool is attached).
-    pub remote_fallbacks: u64,
-    /// Remote shard passes re-issued to a second worker after the hedge
-    /// budget expired.
-    pub remote_hedges: u64,
-    /// Documents transparently re-registered by the auto re-shard policy.
-    pub reshards: u64,
-    /// Worker block-cache hits (shard passes answered without the block
-    /// bytes crossing the wire; 0 unless this server runs as a worker).
-    pub block_cache_hits: u64,
-    /// Worker block-cache misses (hash-only frames answered `need`, plus
-    /// first-time inserts).
-    pub block_cache_misses: u64,
-    /// Worker block-cache entries evicted under the byte budget.
-    pub block_cache_evictions: u64,
-    /// Worker block-cache bytes currently resident.
-    pub block_cache_bytes: u64,
-    /// Pipelined requests currently queued in the cheap task class
-    /// (non-emptiness, model-check, count) of the QoS scheduler.
-    pub queue_depth_cheap: u64,
-    /// Pipelined requests currently queued in the expensive task class
-    /// (compute, enumerate) of the QoS scheduler.
-    pub queue_depth_expensive: u64,
-    /// Requests shed with [`ErrorCode::Expired`]: their deadline elapsed
-    /// while they were queued.
-    pub shed_expired: u64,
-    /// Requests shed with [`ErrorCode::Busy`] because their class queue
-    /// was full (the bounded-queue replacement for the blanket inflight
-    /// gate on pipelined traffic).
-    pub shed_overflow: u64,
-}
-
-/// One tenant's usage, limits and serving counters inside a
-/// [`Response::Stats`] frame.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WireTenantStats {
-    /// Tenant id.
-    pub id: u32,
-    /// Human-readable name.
-    pub name: String,
-    /// Live documents.
-    pub docs: u64,
-    /// Corpus bytes across live documents.
-    pub corpus_bytes: u64,
-    /// Document quota (0 = unlimited).
-    pub max_docs: u64,
-    /// Corpus byte quota (0 = unlimited).
-    pub max_corpus_bytes: u64,
-    /// Reserved matrix-cache share in bytes (0 = none).
-    pub cache_share: u64,
-    /// Matrix-cache bytes currently resident for this tenant's documents.
-    pub cache_resident: u64,
-    /// Relative admission weight.
-    pub admission_weight: u32,
-    /// This tenant's requests executing right now.
-    pub inflight: u64,
-    /// Requests answered with `busy` at this tenant's admission cap.
-    pub busy_rejections: u64,
-    /// Registrations refused over this tenant's quotas.
-    pub quota_rejections: u64,
-}
-
-impl WireTenantStats {
-    fn to_json(&self) -> Json {
-        obj(vec![
-            ("id", Json::num(self.id)),
-            ("name", Json::str(&self.name)),
-            ("docs", Json::num(self.docs)),
-            ("corpus_bytes", Json::num(self.corpus_bytes)),
-            ("max_docs", Json::num(self.max_docs)),
-            ("max_bytes", Json::num(self.max_corpus_bytes)),
-            ("cache_share", Json::num(self.cache_share)),
-            ("cache_resident", Json::num(self.cache_resident)),
-            ("weight", Json::num(self.admission_weight)),
-            ("inflight", Json::num(self.inflight)),
-            ("busy", Json::num(self.busy_rejections)),
-            ("quota", Json::num(self.quota_rejections)),
-        ])
-    }
-
-    fn from_json(value: &Json) -> Result<WireTenantStats, ProtoError> {
-        Ok(WireTenantStats {
-            id: u32::try_from(num_field(value, "id")?)
-                .map_err(|_| ProtoError::Malformed("tenant id out of range".into()))?,
-            name: String::from_utf8_lossy(&str_field(value, "name")?).into_owned(),
-            docs: num_field(value, "docs")?,
-            corpus_bytes: num_field(value, "corpus_bytes")?,
-            max_docs: num_field(value, "max_docs")?,
-            max_corpus_bytes: num_field(value, "max_bytes")?,
-            cache_share: num_field(value, "cache_share")?,
-            cache_resident: num_field(value, "cache_resident")?,
-            admission_weight: u32::try_from(num_field(value, "weight")?)
-                .map_err(|_| ProtoError::Malformed("tenant weight out of range".into()))?,
-            inflight: num_field(value, "inflight")?,
-            busy_rejections: num_field(value, "busy")?,
-            quota_rejections: num_field(value, "quota")?,
-        })
-    }
-}
-
-/// The durable store's health inside a [`Response::Stats`] frame (absent
-/// when the server runs without persistence).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WireStoreStats {
-    /// Log records appended since the last snapshot.
-    pub log_records: u64,
-    /// Log bytes on disk since the last snapshot.
-    pub log_bytes: u64,
-    /// Highest sequence number made durable.
-    pub last_seq: u64,
-    /// Sequence number covered by the snapshot (0 = none yet).
-    pub snapshot_seq: u64,
-    /// Seconds since the last snapshot was written (`None` = none yet).
-    pub snapshot_age_secs: Option<u64>,
-    /// Snapshots written over the store's lifetime (all triggers).
-    pub snapshots: u64,
-    /// Snapshots triggered by the every-N-verbs cadence.
-    pub snapshots_on_cadence: u64,
-    /// Snapshots triggered by the log-size compaction threshold.
-    pub snapshots_on_size: u64,
-}
-
-impl From<&StoreMetrics> for WireStoreStats {
-    fn from(m: &StoreMetrics) -> Self {
-        WireStoreStats {
-            log_records: m.log_records,
-            log_bytes: m.log_bytes,
-            last_seq: m.last_seq,
-            snapshot_seq: m.snapshot_seq,
-            snapshot_age_secs: m.snapshot_age_secs,
-            snapshots: m.snapshots,
-            // Trigger attribution lives in the persistence layer, not the
-            // store; the server patches these in.
-            snapshots_on_cadence: 0,
-            snapshots_on_size: 0,
-        }
-    }
-}
-
-impl WireStoreStats {
-    fn to_json(self) -> Json {
-        obj(vec![
-            ("log_records", Json::num(self.log_records)),
-            ("log_bytes", Json::num(self.log_bytes)),
-            ("last_seq", Json::num(self.last_seq)),
-            ("snapshot_seq", Json::num(self.snapshot_seq)),
-            (
-                "snapshot_age_secs",
-                self.snapshot_age_secs.map_or(Json::Null, Json::num),
-            ),
-            ("snapshots", Json::num(self.snapshots)),
-            ("snapshots_on_cadence", Json::num(self.snapshots_on_cadence)),
-            ("snapshots_on_size", Json::num(self.snapshots_on_size)),
-        ])
-    }
-
-    fn from_json(value: &Json) -> Result<WireStoreStats, ProtoError> {
-        // The snapshot-trigger counters are absent in frames from older
-        // servers; default them to zero.
-        let optional = |key: &str| -> Result<u64, ProtoError> {
-            match value.get(key) {
-                None => Ok(0),
-                Some(v) => number(v, key),
-            }
-        };
-        Ok(WireStoreStats {
-            log_records: num_field(value, "log_records")?,
-            log_bytes: num_field(value, "log_bytes")?,
-            last_seq: num_field(value, "last_seq")?,
-            snapshot_seq: num_field(value, "snapshot_seq")?,
-            snapshot_age_secs: opt_num_field(value, "snapshot_age_secs")?,
-            snapshots: optional("snapshots")?,
-            snapshots_on_cadence: optional("snapshots_on_cadence")?,
-            snapshots_on_size: optional("snapshots_on_size")?,
-        })
-    }
-}
-
-/// Latency observability inside a [`Response::Stats`] frame (absent in
-/// frames from servers predating the tracing subsystem): log2-bucketed
-/// request-duration histograms per task kind and per tenant, the shard-pass
-/// histogram with the adaptive hedge window it feeds, and background
-/// compaction timings.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WireObsStats {
-    /// Request-duration histograms by task kind, in [`Task::KIND_NAMES`]
-    /// order (always 5 entries in frames this build emits).
-    pub kinds: Vec<HistSnapshot>,
-    /// Request-duration histograms by tenant id, ascending.
-    pub tenants: Vec<(u32, HistSnapshot)>,
-    /// Durations of individual shard passes (scatter legs), all executors.
-    pub shard_pass: HistSnapshot,
-    /// The remote executor's current adaptive hedge budget in µs (0 = no
-    /// remote pool or hedging disabled).
-    pub hedge_budget_us: u64,
-    /// Round-trip samples currently in the hedge budget window.
-    pub hedge_samples: u64,
-    /// Background snapshot compactions completed.
-    pub compactions: u64,
-    /// Duration of the most recent compaction in µs.
-    pub compaction_last_us: u64,
-    /// Total time spent compacting in µs.
-    pub compaction_total_us: u64,
-}
-
-impl WireObsStats {
-    fn to_json(&self) -> Json {
-        obj(vec![
-            (
-                "kinds",
-                Json::Arr(self.kinds.iter().map(hist_to_json).collect()),
-            ),
-            (
-                "tenants",
-                Json::Arr(
-                    self.tenants
-                        .iter()
-                        .map(|(id, hist)| Json::Arr(vec![Json::num(*id), hist_to_json(hist)]))
-                        .collect(),
-                ),
-            ),
-            ("shard_pass", hist_to_json(&self.shard_pass)),
-            ("hedge_budget_us", Json::num(self.hedge_budget_us)),
-            ("hedge_samples", Json::num(self.hedge_samples)),
-            ("compactions", Json::num(self.compactions)),
-            ("compaction_last_us", Json::num(self.compaction_last_us)),
-            ("compaction_total_us", Json::num(self.compaction_total_us)),
-        ])
-    }
-
-    fn from_json(value: &Json) -> Result<WireObsStats, ProtoError> {
-        let kinds = field(value, "kinds")?
-            .as_arr()
-            .ok_or_else(|| ProtoError::Malformed("obs kinds is not an array".into()))?
-            .iter()
-            .map(hist_from_json)
-            .collect::<Result<_, _>>()?;
-        let tenants = field(value, "tenants")?
-            .as_arr()
-            .ok_or_else(|| ProtoError::Malformed("obs tenants is not an array".into()))?
-            .iter()
-            .map(|entry| {
-                let Some([id, hist]) = entry.as_arr() else {
-                    return Err(ProtoError::Malformed(
-                        "obs tenant entry is not a pair".into(),
-                    ));
-                };
-                Ok((
-                    u32::try_from(number(id, "obs tenant id")?)
-                        .map_err(|_| ProtoError::Malformed("obs tenant id out of range".into()))?,
-                    hist_from_json(hist)?,
-                ))
-            })
-            .collect::<Result<_, _>>()?;
-        Ok(WireObsStats {
-            kinds,
-            tenants,
-            shard_pass: hist_from_json(field(value, "shard_pass")?)?,
-            hedge_budget_us: num_field(value, "hedge_budget_us")?,
-            hedge_samples: num_field(value, "hedge_samples")?,
-            compactions: num_field(value, "compactions")?,
-            compaction_last_us: num_field(value, "compaction_last_us")?,
-            compaction_total_us: num_field(value, "compaction_total_us")?,
-        })
-    }
 }
 
 /// Per-request cost statistics as spoken on the wire (see
@@ -1305,10 +874,6 @@ impl From<&RequestStats> for WireStats {
 }
 
 /// A server→client frame.
-// `Stats` dwarfs the other variants, but it is a rare diagnostics reply —
-// boxing it would complicate every codec site to shrink a type that never
-// sits on the hot path.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Response {
     /// Answer to [`Request::Ping`].
@@ -1422,18 +987,9 @@ pub enum Response {
     },
     /// Answer to [`Request::Stats`].
     Stats {
-        /// Service-wide evaluation counters.
-        service: WireServiceStats,
-        /// Transport-level counters.
-        server: WireServerStats,
-        /// Per-tenant usage, limits and serving counters (always at least
-        /// the default tenant; empty only in frames from older servers).
-        tenants: Vec<WireTenantStats>,
-        /// Durable-store health; `None` when the server runs in-memory.
-        store: Option<WireStoreStats>,
-        /// Latency histograms and compaction timings; `None` in frames
-        /// from servers predating the tracing subsystem.
-        obs: Option<WireObsStats>,
+        /// The server's metrics as Prometheus text, one
+        /// `name{labels} value` line per series ([`crate::metrics`]).
+        text: String,
     },
     /// Answer to [`Request::Shutdown`]: the drain has begun.
     ShuttingDown,
@@ -1586,39 +1142,6 @@ fn spans_from_json(value: &Json) -> Result<Vec<SpanRec>, ProtoError> {
         .collect()
 }
 
-/// Encodes a histogram snapshot as `{"b":[…],"c":count,"s":sum}` with
-/// trailing zero buckets trimmed (decoders zero-pad), so an idle
-/// histogram costs a dozen bytes, not 32 zeros.
-fn hist_to_json(hist: &HistSnapshot) -> Json {
-    let keep = hist
-        .buckets
-        .iter()
-        .rposition(|&c| c != 0)
-        .map_or(0, |i| i + 1);
-    obj(vec![
-        (
-            "b",
-            Json::Arr(hist.buckets[..keep].iter().map(|&c| Json::num(c)).collect()),
-        ),
-        ("c", Json::num(hist.count)),
-        ("s", Json::num(hist.sum)),
-    ])
-}
-
-fn hist_from_json(value: &Json) -> Result<HistSnapshot, ProtoError> {
-    let buckets = field(value, "b")?
-        .as_arr()
-        .ok_or_else(|| ProtoError::Malformed("histogram buckets are not an array".into()))?
-        .iter()
-        .map(|c| number(c, "histogram bucket"))
-        .collect::<Result<_, _>>()?;
-    Ok(HistSnapshot {
-        buckets,
-        count: num_field(value, "c")?,
-        sum: num_field(value, "s")?,
-    })
-}
-
 // ---------------------------------------------------------------------------
 // Field helpers
 // ---------------------------------------------------------------------------
@@ -1663,8 +1186,7 @@ fn obj(pairs: Vec<(&str, Json)>) -> Json {
     Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
-/// Emits the `"t"` tenant field only when non-default, so default-tenant
-/// frames stay byte-identical to the pre-tenancy encoding.
+/// Emits the `"t"` tenant field only when non-default.
 fn push_tenant(pairs: &mut Vec<(&str, Json)>, tenant: u32) {
     if tenant != 0 {
         pairs.push(("t", Json::num(tenant)));
@@ -1680,9 +1202,8 @@ fn tenant_field(value: &Json) -> Result<u32, ProtoError> {
     }
 }
 
-/// Emits the `"tr"` trace-id field only when non-zero, so untraced frames
-/// stay byte-identical to the pre-tracing encoding (the same discipline as
-/// the tenant key).
+/// Emits the `"tr"` trace-id field only when non-zero (the same
+/// discipline as the tenant key).
 fn push_trace(pairs: &mut Vec<(&str, Json)>, trace: u64) {
     if trace != 0 {
         pairs.push(("tr", Json::num(trace)));
@@ -1697,9 +1218,7 @@ fn trace_field(value: &Json) -> Result<u64, ProtoError> {
     }
 }
 
-/// Emits the `"rid"`/`"dl"` envelope fields only when non-zero, so
-/// un-pipelined frames stay byte-identical to the v2 encoding (modulo the
-/// version number).
+/// Emits the `"rid"`/`"dl"` envelope fields only when non-zero.
 fn push_meta(pairs: &mut Vec<(&str, Json)>, meta: FrameMeta) {
     if meta.id != 0 {
         pairs.push(("rid", Json::num(meta.id)));
@@ -1725,7 +1244,7 @@ fn meta_fields(value: &Json) -> Result<FrameMeta, ProtoError> {
 }
 
 /// Emits the `"trace"` span-forest field of a task response only when the
-/// request was sampled, so unsampled responses stay byte-identical.
+/// request was sampled.
 fn push_response_trace(pairs: &mut Vec<(&str, Json)>, trace: &Option<Vec<SpanRec>>) {
     if let Some(spans) = trace {
         pairs.push(("trace", spans_to_json(spans)));
@@ -1825,10 +1344,7 @@ impl Request {
                 trace,
             } => {
                 pairs.push(("op", Json::str("shard_build")));
-                // Payload halves and their hashes are each omitted when
-                // absent, so a legacy-shaped frame (bytes inline, no
-                // negotiation) is byte-identical to what a v1 coordinator
-                // sends.
+                // A payload half is omitted when only its hash ships.
                 if let Some(nfa) = nfa {
                     pairs.push(("nfa", nfa.to_json()));
                 }
@@ -1836,12 +1352,8 @@ impl Request {
                     pairs.push(("rules", rules_to_json(rules)));
                 }
                 pairs.push(("root", Json::num(*root)));
-                if *nfa_hash != 0 {
-                    pairs.push(("nh", Json::num(*nfa_hash)));
-                }
-                if *block_hash != 0 {
-                    pairs.push(("bh", Json::num(*block_hash)));
-                }
+                pairs.push(("nh", Json::num(*nfa_hash)));
+                pairs.push(("bh", Json::num(*block_hash)));
                 push_trace(&mut pairs, *trace);
             }
             Request::Stats => pairs.push(("op", Json::str("stats"))),
@@ -1857,12 +1369,11 @@ impl Request {
     }
 
     /// Decodes one request frame together with its pipelining envelope.
-    /// Frames without `"rid"`/`"dl"` keys — everything a v1 or v2 client
-    /// produces — decode with [`FrameMeta::NONE`].
+    /// Frames without `"rid"`/`"dl"` keys decode with [`FrameMeta::NONE`].
     pub fn decode_framed(line: &[u8]) -> Result<(Request, FrameMeta), ProtoError> {
         let value = Json::parse(line)?;
         let v = num_field(&value, "v")?;
-        if !(LEGACY_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&v) {
+        if v != PROTOCOL_VERSION {
             return Err(ProtoError::Version(v));
         }
         let meta = meta_fields(&value)?;
@@ -1925,41 +1436,14 @@ impl Request {
                 spec: spec_from_json(field(&value, "spec")?)
                     .map_err(|e| ProtoError::Malformed(e.to_string()))?,
             },
-            b"shard_build" => {
-                let nfa = match value.get("nfa") {
-                    None => None,
-                    Some(v) => Some(WireNfa::from_json(v)?),
-                };
-                let rules = match value.get("rules") {
-                    None => None,
-                    Some(v) => Some(rules_from_json(v)?),
-                };
-                let optional_hash = |key: &str| -> Result<u64, ProtoError> {
-                    match value.get(key) {
-                        None => Ok(0),
-                        Some(v) => number(v, key),
-                    }
-                };
-                let (nfa_hash, block_hash) = (optional_hash("nh")?, optional_hash("bh")?);
-                if nfa.is_none() && nfa_hash == 0 {
-                    return Err(ProtoError::Malformed(
-                        "shard_build names neither an nfa nor its hash".into(),
-                    ));
-                }
-                if rules.is_none() && block_hash == 0 {
-                    return Err(ProtoError::Malformed(
-                        "shard_build names neither a rule block nor its hash".into(),
-                    ));
-                }
-                Request::ShardBuild {
-                    nfa,
-                    rules,
-                    root: num_field(&value, "root")?,
-                    nfa_hash,
-                    block_hash,
-                    trace: trace_field(&value)?,
-                }
-            }
+            b"shard_build" => Request::ShardBuild {
+                nfa: value.get("nfa").map(WireNfa::from_json).transpose()?,
+                rules: value.get("rules").map(rules_from_json).transpose()?,
+                root: num_field(&value, "root")?,
+                nfa_hash: num_field(&value, "nh")?,
+                block_hash: num_field(&value, "bh")?,
+                trace: trace_field(&value)?,
+            },
             b"stats" => Request::Stats,
             b"shutdown" => Request::Shutdown,
             _ => {
@@ -2003,115 +1487,16 @@ impl WireStats {
     }
 }
 
-impl WireServiceStats {
-    fn to_json(self) -> Json {
-        obj(vec![
-            ("requests", Json::num(self.requests)),
-            ("non_emptiness", Json::num(self.non_emptiness)),
-            ("model_check", Json::num(self.model_check)),
-            ("count", Json::num(self.count)),
-            ("compute", Json::num(self.compute)),
-            ("enumerate", Json::num(self.enumerate)),
-            ("cache_hits", Json::num(self.cache_hits)),
-            ("cache_misses", Json::num(self.cache_misses)),
-            ("evictions", Json::num(self.evictions)),
-            ("resident_bytes", Json::num(self.resident_bytes)),
-            ("resident_entries", Json::num(self.resident_entries)),
-        ])
-    }
-
-    fn from_json(value: &Json) -> Result<WireServiceStats, ProtoError> {
-        Ok(WireServiceStats {
-            requests: num_field(value, "requests")?,
-            non_emptiness: num_field(value, "non_emptiness")?,
-            model_check: num_field(value, "model_check")?,
-            count: num_field(value, "count")?,
-            compute: num_field(value, "compute")?,
-            enumerate: num_field(value, "enumerate")?,
-            cache_hits: num_field(value, "cache_hits")?,
-            cache_misses: num_field(value, "cache_misses")?,
-            evictions: num_field(value, "evictions")?,
-            resident_bytes: num_field(value, "resident_bytes")?,
-            resident_entries: num_field(value, "resident_entries")?,
-        })
-    }
-}
-
-impl WireServerStats {
-    fn to_json(self) -> Json {
-        obj(vec![
-            ("connections", Json::num(self.connections)),
-            ("frames", Json::num(self.frames)),
-            ("busy_rejections", Json::num(self.busy_rejections)),
-            ("malformed_frames", Json::num(self.malformed_frames)),
-            ("oversized_frames", Json::num(self.oversized_frames)),
-            ("pages_streamed", Json::num(self.pages_streamed)),
-            ("inflight", Json::num(self.inflight)),
-            ("quota_rejections", Json::num(self.quota_rejections)),
-            ("remote_fallbacks", Json::num(self.remote_fallbacks)),
-            ("remote_hedges", Json::num(self.remote_hedges)),
-            ("reshards", Json::num(self.reshards)),
-            ("block_cache_hits", Json::num(self.block_cache_hits)),
-            ("block_cache_misses", Json::num(self.block_cache_misses)),
-            (
-                "block_cache_evictions",
-                Json::num(self.block_cache_evictions),
-            ),
-            ("block_cache_bytes", Json::num(self.block_cache_bytes)),
-            ("queue_depth_cheap", Json::num(self.queue_depth_cheap)),
-            (
-                "queue_depth_expensive",
-                Json::num(self.queue_depth_expensive),
-            ),
-            ("shed_expired", Json::num(self.shed_expired)),
-            ("shed_overflow", Json::num(self.shed_overflow)),
-        ])
-    }
-
-    fn from_json(value: &Json) -> Result<WireServerStats, ProtoError> {
-        // Counters added after v1 default to zero when absent so stats
-        // frames from older servers still decode.
-        let optional = |key: &str| -> Result<u64, ProtoError> {
-            match value.get(key) {
-                None => Ok(0),
-                Some(v) => number(v, key),
-            }
-        };
-        Ok(WireServerStats {
-            connections: num_field(value, "connections")?,
-            frames: num_field(value, "frames")?,
-            busy_rejections: num_field(value, "busy_rejections")?,
-            malformed_frames: num_field(value, "malformed_frames")?,
-            oversized_frames: num_field(value, "oversized_frames")?,
-            pages_streamed: num_field(value, "pages_streamed")?,
-            inflight: num_field(value, "inflight")?,
-            quota_rejections: optional("quota_rejections")?,
-            remote_fallbacks: optional("remote_fallbacks")?,
-            remote_hedges: optional("remote_hedges")?,
-            reshards: optional("reshards")?,
-            block_cache_hits: optional("block_cache_hits")?,
-            block_cache_misses: optional("block_cache_misses")?,
-            block_cache_evictions: optional("block_cache_evictions")?,
-            block_cache_bytes: optional("block_cache_bytes")?,
-            queue_depth_cheap: optional("queue_depth_cheap")?,
-            queue_depth_expensive: optional("queue_depth_expensive")?,
-            shed_expired: optional("shed_expired")?,
-            shed_overflow: optional("shed_overflow")?,
-        })
-    }
-}
-
 impl Response {
     /// Encodes the response as one canonical frame (no trailing newline)
-    /// with no request id — the lock-step (v2 and earlier) shape.
+    /// with no request id — the lock-step shape.
     pub fn encode(&self) -> Vec<u8> {
         self.encode_framed(0)
     }
 
     /// Encodes the response, echoing a pipelined request's id as the
     /// leading `"rid"` key.  `id == 0` emits no key at all, so
-    /// `encode_framed(0)` is byte-identical to [`encode`] and idless
-    /// responses stay byte-identical to what a v2 server sends.
+    /// `encode_framed(0)` is byte-identical to [`encode`].
     ///
     /// [`encode`]: Response::encode
     pub fn encode_framed(&self, id: u64) -> Vec<u8> {
@@ -2247,29 +1632,8 @@ impl Response {
                 ("tenant", Json::num(*id)),
                 ("created", Json::Bool(*created)),
             ]),
-            Response::Stats {
-                service,
-                server,
-                tenants,
-                store,
-                obs,
-            } => {
-                let mut pairs = vec![
-                    ("ok", Json::Bool(true)),
-                    ("service", service.to_json()),
-                    ("server", server.to_json()),
-                    (
-                        "tenants",
-                        Json::Arr(tenants.iter().map(WireTenantStats::to_json).collect()),
-                    ),
-                ];
-                if let Some(store) = store {
-                    pairs.push(("store", store.to_json()));
-                }
-                if let Some(obs) = obs {
-                    pairs.push(("obs", obs.to_json()));
-                }
-                obj(pairs)
+            Response::Stats { text } => {
+                obj(vec![("ok", Json::Bool(true)), ("metrics", Json::str(text))])
             }
             Response::ShuttingDown => obj(vec![
                 ("ok", Json::Bool(true)),
@@ -2412,17 +1776,6 @@ impl Response {
                 spans: response_trace(value)?.unwrap_or_default(),
             });
         }
-        if let Some(rows) = value.get("rows") {
-            // v1 workers answer one byte per entry; accept their shape so a
-            // v2 coordinator interoperates during a rolling upgrade.
-            let q = num_field(value, "q")?;
-            return Ok(Response::ShardBuilt {
-                q,
-                rows: legacy_rows_from_json(rows, q)?,
-                elapsed_us: num_field(value, "elapsed_us")?,
-                spans: Vec::new(),
-            });
-        }
         if let Some(id) = value.get("tenant") {
             return Ok(Response::TenantOk {
                 id: u32::try_from(number(id, "tenant")?)
@@ -2430,32 +1783,10 @@ impl Response {
                 created: bool_field(value, "created")?,
             });
         }
-        if let Some(service) = value.get("service") {
-            // `tenants` and `store` are absent in frames from older
-            // servers; decode them leniently.
-            let tenants = match value.get("tenants") {
-                None => Vec::new(),
-                Some(list) => list
-                    .as_arr()
-                    .ok_or_else(|| ProtoError::Malformed("tenants is not an array".into()))?
-                    .iter()
-                    .map(WireTenantStats::from_json)
-                    .collect::<Result<_, _>>()?,
-            };
-            let store = match value.get("store") {
-                None => None,
-                Some(store) => Some(WireStoreStats::from_json(store)?),
-            };
-            let obs = match value.get("obs") {
-                None => None,
-                Some(obs) => Some(WireObsStats::from_json(obs)?),
-            };
+        if value.get("metrics").is_some() {
             return Ok(Response::Stats {
-                service: WireServiceStats::from_json(service)?,
-                server: WireServerStats::from_json(field(value, "server")?)?,
-                tenants,
-                store,
-                obs,
+                text: String::from_utf8(str_field(value, "metrics")?)
+                    .map_err(|_| ProtoError::Malformed("metrics is not UTF-8".into()))?,
             });
         }
         if value.get("shutting_down").is_some() {
@@ -2616,8 +1947,8 @@ mod tests {
                     NfRule::Pair(NonTerminal(2), NonTerminal(3)),
                 ]),
                 root: 4,
-                nfa_hash: 0,
-                block_hash: 0,
+                nfa_hash: 11,
+                block_hash: 13,
             },
             // A fully negotiated warm frame: both halves replaced by their
             // content hashes.
@@ -2737,66 +2068,12 @@ mod tests {
                 id: 7,
                 created: true,
             },
+            // Scrape text spans many lines; the frame escapes them.
             Response::Stats {
-                obs: None,
-                service: WireServiceStats {
-                    requests: 11,
-                    count: 4,
-                    ..Default::default()
-                },
-                server: WireServerStats {
-                    connections: 3,
-                    busy_rejections: 1,
-                    remote_fallbacks: 2,
-                    ..Default::default()
-                },
-                tenants: vec![
-                    WireTenantStats {
-                        id: 0,
-                        name: "default".into(),
-                        docs: 4,
-                        corpus_bytes: 4096,
-                        admission_weight: 1,
-                        ..Default::default()
-                    },
-                    WireTenantStats {
-                        id: 7,
-                        name: "acme".into(),
-                        max_docs: 10,
-                        cache_share: 1 << 16,
-                        cache_resident: 900,
-                        admission_weight: 3,
-                        quota_rejections: 2,
-                        ..Default::default()
-                    },
-                ],
-                store: None,
+                text: "spanner_requests_total 11\nspanner_tenant_docs{tenant=\"7\"} 4".into(),
             },
             Response::Stats {
-                obs: None,
-                service: WireServiceStats::default(),
-                server: WireServerStats::default(),
-                tenants: vec![WireTenantStats::default()],
-                store: Some(WireStoreStats {
-                    log_records: 12,
-                    log_bytes: 4096,
-                    last_seq: 40,
-                    snapshot_seq: 28,
-                    snapshot_age_secs: Some(17),
-                    snapshots: 3,
-                    snapshots_on_cadence: 2,
-                    snapshots_on_size: 1,
-                }),
-            },
-            Response::Stats {
-                obs: None,
-                service: WireServiceStats::default(),
-                server: WireServerStats::default(),
-                tenants: Vec::new(),
-                store: Some(WireStoreStats {
-                    snapshot_age_secs: None,
-                    ..Default::default()
-                }),
+                text: String::new(),
             },
             Response::ShuttingDown,
         ];
@@ -2829,14 +2106,13 @@ mod tests {
 
     #[test]
     fn default_tenant_frames_are_byte_identical_to_pre_tenancy_frames() {
-        // A v2 client that has never heard of tenants emits no "t" field;
-        // those exact bytes must decode to tenant 0, and tenant-0 frames
-        // must encode back to those exact bytes (no "t" key anywhere).
-        let legacy: &[u8] = b"{\"v\":2,\"op\":\"remove_doc\",\"doc\":3}";
-        assert_eq!(
-            Request::decode(legacy).unwrap(),
-            Request::RemoveDoc { tenant: 0, doc: 3 }
-        );
+        // A client that never names a tenant emits no "t" field; those
+        // exact bytes must decode to tenant 0, and tenant-0 frames must
+        // encode back to those exact bytes (no "t" key anywhere).
+        let untenanted: &[u8] = b"{\"v\":3,\"op\":\"remove_doc\",\"doc\":3}";
+        let decoded = Request::decode(untenanted).unwrap();
+        assert_eq!(decoded, Request::RemoveDoc { tenant: 0, doc: 3 });
+        assert_eq!(decoded.encode(), untenanted);
         for request in [
             Request::AddDoc {
                 tenant: 0,
@@ -2885,15 +2161,6 @@ mod tests {
                 attrs: Vec::new(),
             },
         ]
-    }
-
-    /// Pre-trimmed (no trailing zero buckets): the canonical wire form.
-    fn sample_hist() -> HistSnapshot {
-        HistSnapshot {
-            buckets: vec![0, 2, 1],
-            count: 3,
-            sum: 1234,
-        }
     }
 
     #[test]
@@ -2956,22 +2223,6 @@ mod tests {
                 elapsed_us: 11,
                 spans: sample_spans(),
             },
-            Response::Stats {
-                obs: Some(WireObsStats {
-                    kinds: vec![sample_hist(); Task::KIND_NAMES.len()],
-                    tenants: vec![(0, sample_hist()), (7, HistSnapshot::default())],
-                    shard_pass: sample_hist(),
-                    hedge_budget_us: 4500,
-                    hedge_samples: 17,
-                    compactions: 3,
-                    compaction_last_us: 800,
-                    compaction_total_us: 2100,
-                }),
-                service: WireServiceStats::default(),
-                server: WireServerStats::default(),
-                tenants: Vec::new(),
-                store: None,
-            },
         ];
         for response in responses {
             let encoded = response.encode();
@@ -2983,12 +2234,11 @@ mod tests {
 
     #[test]
     fn traceless_frames_are_byte_identical_to_pre_tracing_frames() {
-        // A client that has never heard of tracing emits no "tr" field;
-        // those exact bytes must decode to trace 0, and trace-0 frames
-        // must encode back to those exact bytes (modulo the version
-        // digit: a v3 server re-encodes at v3, with no other change).
-        let legacy: &[u8] = b"{\"v\":2,\"op\":\"task\",\"task\":\"count\",\"query\":1,\"doc\":2}";
-        let decoded = Request::decode(legacy).unwrap();
+        // A client that never traces emits no "tr" field; those exact
+        // bytes must decode to trace 0, and trace-0 frames must encode back
+        // to those exact bytes.
+        let untraced: &[u8] = b"{\"v\":3,\"op\":\"task\",\"task\":\"count\",\"query\":1,\"doc\":2}";
+        let decoded = Request::decode(untraced).unwrap();
         assert_eq!(
             decoded,
             Request::Task {
@@ -2999,9 +2249,8 @@ mod tests {
                 task: WireTask::Count,
             }
         );
-        let modern: &[u8] = b"{\"v\":3,\"op\":\"task\",\"task\":\"count\",\"query\":1,\"doc\":2}";
-        assert_eq!(decoded.encode(), modern);
-        // Untraced responses carry no "trace"/"spans"/"obs" keys at all.
+        assert_eq!(decoded.encode(), untraced);
+        // Untraced responses carry no "trace"/"spans" keys at all.
         for (response, forbidden) in [
             (
                 Response::Counted {
@@ -3019,16 +2268,6 @@ mod tests {
                     spans: Vec::new(),
                 },
                 "\"spans\"",
-            ),
-            (
-                Response::Stats {
-                    obs: None,
-                    service: WireServiceStats::default(),
-                    server: WireServerStats::default(),
-                    tenants: Vec::new(),
-                    store: None,
-                },
-                "\"obs\"",
             ),
         ] {
             let text = String::from_utf8(response.encode()).unwrap();
@@ -3054,11 +2293,9 @@ mod tests {
         let pos = frame.windows(4).position(|w| w == b"\"v\":").unwrap() + 4;
         frame[pos] = b'4';
         assert_eq!(Request::decode(&frame), Err(ProtoError::Version(4)));
-        // Every prior version is still admitted.
+        // Older versions are refused the same way.
         frame[pos] = b'2';
-        assert_eq!(Request::decode(&frame), Ok(Request::Ping));
-        frame[pos] = b'1';
-        assert_eq!(Request::decode(&frame), Ok(Request::Ping));
+        assert_eq!(Request::decode(&frame), Err(ProtoError::Version(2)));
     }
 
     #[test]
@@ -3104,8 +2341,7 @@ mod tests {
     fn idless_frames_are_byte_identical_to_lockstep_frames() {
         // A client that never pipelines emits no "rid"/"dl" keys: the
         // framed encoder with FrameMeta::NONE is byte-for-byte the plain
-        // v2-era lock-step encoder (modulo the version digit, pinned
-        // elsewhere).
+        // lock-step encoder.
         for request in [
             Request::Ping,
             Request::Task {
@@ -3173,51 +2409,16 @@ mod tests {
     }
 
     #[test]
-    fn v2_client_frames_still_decode_against_v3() {
-        // Exact byte strings a PR-9-era v2 client puts on the wire: a v3
-        // server must decode them unchanged (rolling upgrades).
-        let pins: [(&[u8], Request); 3] = [
-            (b"{\"v\":2,\"op\":\"ping\"}", Request::Ping),
-            (
-                b"{\"v\":2,\"op\":\"task\",\"task\":\"non_emptiness\",\"query\":4,\"doc\":9}",
-                Request::Task {
-                    trace: 0,
-                    tenant: 0,
-                    query: 4,
-                    doc: 9,
-                    task: WireTask::NonEmptiness,
-                },
-            ),
-            (
-                b"{\"v\":2,\"op\":\"task\",\"t\":3,\"tr\":77,\"task\":\"count\",\"query\":1,\"doc\":2}",
-                Request::Task {
-                    trace: 77,
-                    tenant: 3,
-                    query: 1,
-                    doc: 2,
-                    task: WireTask::Count,
-                },
-            ),
-        ];
-        for (bytes, want) in pins {
-            let (decoded, meta) = Request::decode_framed(bytes).unwrap();
-            assert_eq!(decoded, want, "{}", String::from_utf8_lossy(bytes));
-            // v2 clients never pipeline: the envelope is always empty, so
-            // the server answers on the lock-step path with unframed
-            // responses the old client can parse.
-            assert_eq!(meta, FrameMeta::NONE);
-        }
-    }
-
-    #[test]
     fn malformed_frames_are_rejected_with_detail() {
         for bad in [
             &b"not json"[..],
             b"{}",
-            b"{\"v\":1}",
-            b"{\"v\":1,\"op\":\"nope\"}",
-            b"{\"v\":1,\"op\":\"task\",\"task\":\"count\",\"query\":0}",
-            b"{\"v\":1,\"op\":\"task\",\"task\":\"model_check\",\"query\":0,\"doc\":0,\"tuple\":[[3,1]]}",
+            b"{\"v\":3}",
+            b"{\"v\":3,\"op\":\"nope\"}",
+            b"{\"v\":3,\"op\":\"task\",\"task\":\"count\",\"query\":0}",
+            b"{\"v\":3,\"op\":\"task\",\"task\":\"model_check\",\"query\":0,\"doc\":0,\"tuple\":[[3,1]]}",
+            // Both content hashes are mandatory on shard_build.
+            b"{\"v\":3,\"op\":\"shard_build\",\"rules\":\"AGE=\",\"root\":0,\"nh\":7}",
         ] {
             assert!(
                 matches!(Request::decode(bad), Err(ProtoError::Malformed(_))),
@@ -3285,7 +2486,7 @@ mod tests {
     fn shard_build_payloads_ship_summaries_not_matrices() {
         // The gather payload is 2 bits per three-valued entry — the full
         // marker-set matrices (and the document text) never appear, and
-        // the packed planes undercut even the v1 one-byte-per-entry bound.
+        // the packed planes undercut even a one-byte-per-entry bound.
         let rows = vec![RMatrix::from_entries(3, &[REntry::NonEmpty; 9]); 7];
         let response = Response::ShardBuilt {
             q: 3,
@@ -3295,8 +2496,8 @@ mod tests {
         };
         let encoded = response.encode();
         // 7 rules × 2 planes × ⌈9/8⌉ bytes = 28 packed bytes → 38 base64
-        // characters, well under the 63 bytes v1 needed for the entries
-        // alone (plus fixed framing either way).
+        // characters, well under the 63 bytes one byte per entry would
+        // need (plus fixed framing either way).
         assert!(encoded.len() < 63 + 64, "{}", encoded.len());
         match Response::decode(&encoded).unwrap() {
             Response::ShardBuilt { rows: decoded, .. } => assert_eq!(decoded, rows),
@@ -3352,65 +2553,6 @@ mod tests {
             Response::decode(frame.as_bytes()),
             Err(ProtoError::Malformed(_))
         ));
-    }
-
-    #[test]
-    fn legacy_v1_shard_frames_still_decode() {
-        // A v1 worker's reply — one B/E/N byte per entry under the `rows`
-        // key — decodes to the same matrices as the packed v2 shape.
-        let legacy = b"{\"ok\":true,\"q\":2,\"rows\":\"BENBEEEE\",\"elapsed_us\":9}";
-        let expected = vec![
-            RMatrix::from_entries(
-                2,
-                &[REntry::Bot, REntry::Empty, REntry::NonEmpty, REntry::Bot],
-            ),
-            RMatrix::from_entries(2, &[REntry::Empty; 4]),
-        ];
-        match Response::decode(legacy).unwrap() {
-            Response::ShardBuilt {
-                q,
-                rows,
-                elapsed_us,
-                ..
-            } => {
-                assert_eq!((q, elapsed_us), (2, 9));
-                assert_eq!(rows, expected);
-            }
-            other => panic!("{other:?}"),
-        }
-        // Unknown entry bytes in the legacy shape are still rejected.
-        let bad = b"{\"ok\":true,\"q\":2,\"rows\":\"BEXX\",\"elapsed_us\":9}";
-        assert!(matches!(
-            Response::decode(bad),
-            Err(ProtoError::Malformed(_))
-        ));
-        // A v1 request carrying rules as a JSON array still decodes to the
-        // same block as the packed v2 stream.
-        let v2 = Request::ShardBuild {
-            trace: 0,
-            nfa: Some(sample_wire_nfa()),
-            rules: Some(vec![
-                NfRule::Leaf(EByte::Byte(b'a')),
-                NfRule::Leaf(EByte::End),
-                NfRule::Pair(NonTerminal(0), NonTerminal(1)),
-            ]),
-            root: 2,
-            // A v1 frame predates the negotiation: no hash keys at all.
-            nfa_hash: 0,
-            block_hash: 0,
-        };
-        let mut legacy_req = String::from_utf8(v2.encode()).unwrap();
-        let packed_rules = match Json::parse(legacy_req.as_bytes())
-            .unwrap()
-            .get("rules")
-            .unwrap()
-        {
-            Json::Str(s) => format!("\"{}\"", String::from_utf8(s.clone()).unwrap()),
-            other => panic!("{other:?}"),
-        };
-        legacy_req = legacy_req.replace(&packed_rules, "[97,\"end\",[0,1]]");
-        legacy_req = legacy_req.replace("\"v\":3", "\"v\":1");
-        assert_eq!(Request::decode(legacy_req.as_bytes()).unwrap(), v2);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! One accept-loop thread plus one reader thread per live connection, plus
 //! a fixed pool of [`ServerConfig::scheduler_workers`] dispatcher threads
 //! executing pipelined tasks.  A frame without a request id (`"rid"`) is
-//! served lock-step on its reader thread exactly as in protocol v2; a task
+//! served lock-step on its reader thread; a task
 //! frame *with* an id is enqueued into the QoS scheduler and completes out
 //! of order, its response carrying the id back.  Any number of requests
 //! evaluate concurrently over the one shared [`Service`] — that is exactly
@@ -96,9 +96,9 @@
 
 use crate::blockcache::{BlockCache, BlockKind};
 use crate::json::Json;
+use crate::metrics::Scrape;
 use crate::proto::{
-    ErrorCode, FrameMeta, ProtoError, Request, Response, WireObsStats, WireServerStats, WireStats,
-    WireTenantStats, PROTOCOL_VERSION,
+    ErrorCode, FrameMeta, ProtoError, Request, Response, WireStats, PROTOCOL_VERSION,
 };
 use crate::remote::RemoteExecutor;
 use slp::NormalFormSlp;
@@ -286,7 +286,7 @@ pub struct RecoveryReport {
     pub tenants: u64,
 }
 
-/// Transport-level counters (see [`WireServerStats`] for the wire form).
+/// Transport-level counters, exported by `Shared::render_metrics`.
 #[derive(Debug, Default)]
 struct Metrics {
     connections: AtomicU64,
@@ -583,7 +583,10 @@ struct Shared {
     /// every server so the handler and `stats` need no special-casing.
     block_cache: BlockCache<CachedBlock>,
     shutdown: AtomicBool,
+    /// Lock-step requests holding an admission slot (see `Shared::admit`).
     inflight: AtomicUsize,
+    /// Pipelined tasks executing on a scheduler dispatcher right now.
+    dispatching: AtomicUsize,
     metrics: Metrics,
     obs: Obs,
     /// The QoS scheduler behind pipelined (id-carrying) task frames.
@@ -602,132 +605,214 @@ enum CachedBlock {
 }
 
 impl Shared {
-    fn server_stats(&self) -> WireServerStats {
-        WireServerStats {
-            connections: self.metrics.connections.load(Ordering::Relaxed),
-            frames: self.metrics.frames.load(Ordering::Relaxed),
-            busy_rejections: self.metrics.busy_rejections.load(Ordering::Relaxed),
-            malformed_frames: self.metrics.malformed_frames.load(Ordering::Relaxed),
-            oversized_frames: self.metrics.oversized_frames.load(Ordering::Relaxed),
-            pages_streamed: self.metrics.pages_streamed.load(Ordering::Relaxed),
-            inflight: self.inflight.load(Ordering::Relaxed) as u64,
-            quota_rejections: self.metrics.quota_rejections.load(Ordering::Relaxed),
-            remote_fallbacks: self
-                .remote
-                .as_ref()
-                .map_or(0, |remote| remote.fallback_count()),
-            remote_hedges: self
-                .remote
-                .as_ref()
-                .map_or(0, |remote| remote.hedge_count()),
-            reshards: self.metrics.reshards.load(Ordering::Relaxed),
-            block_cache_hits: self.block_cache.hits(),
-            block_cache_misses: self.block_cache.misses(),
-            block_cache_evictions: self.block_cache.evictions(),
-            block_cache_bytes: self.block_cache.resident_bytes(),
-            queue_depth_cheap: self.scheduler.depth(TaskClass::Cheap),
-            queue_depth_expensive: self.scheduler.depth(TaskClass::Expensive),
-            shed_expired: self.metrics.shed_expired.load(Ordering::Relaxed),
-            shed_overflow: self.metrics.shed_overflow.load(Ordering::Relaxed),
+    /// The `stats` answer: every metric this process exports, rendered as
+    /// Prometheus text straight from its sources — the service counters,
+    /// the transport atomics, the tenant table and admission gates, the
+    /// block cache, the remote executor, the store and the latency
+    /// histograms.  The only place a metric is named.
+    fn render_metrics(&self) -> String {
+        let mut m = Scrape::default();
+        let s = self.service.stats();
+        m.counter("spanner_requests_total", &[], s.requests);
+        m.counter("spanner_cache_hits_total", &[], s.cache_hits);
+        m.counter("spanner_cache_misses_total", &[], s.cache_misses);
+        m.counter("spanner_cache_evictions_total", &[], s.evictions);
+        m.gauge("spanner_cache_resident_bytes", &[], s.resident_bytes as u64);
+        m.gauge(
+            "spanner_cache_resident_entries",
+            &[],
+            s.resident_entries as u64,
+        );
+        for (kind, value) in [
+            ("nonemptiness", s.by_task.non_emptiness),
+            ("model_check", s.by_task.model_check),
+            ("count", s.by_task.count),
+            ("compute", s.by_task.compute),
+            ("enumerate", s.by_task.enumerate),
+        ] {
+            m.counter("spanner_tasks_total", &[("kind", kind)], value);
         }
-    }
 
-    /// One [`WireTenantStats`] row per known tenant, ascending by id.
-    fn tenant_stats(&self) -> Vec<WireTenantStats> {
-        self.service
-            .tenant_ids()
-            .into_iter()
-            .map(|id| {
-                let config = self.service.tenant_config(id).unwrap_or_default();
-                let usage = self.service.tenant_usage(id).unwrap_or_default();
-                let gate = self.admission.gate(id.0);
-                WireTenantStats {
-                    id: id.0,
-                    name: config.name,
-                    docs: usage.docs,
-                    corpus_bytes: usage.corpus_bytes,
-                    max_docs: config.max_docs,
-                    max_corpus_bytes: config.max_corpus_bytes,
-                    cache_share: config.cache_share as u64,
-                    cache_resident: self.service.tenant_cache_resident(id) as u64,
-                    admission_weight: config.admission_weight,
-                    inflight: gate
-                        .as_ref()
-                        .map_or(0, |g| g.inflight.load(Ordering::Relaxed) as u64),
-                    busy_rejections: gate
-                        .as_ref()
-                        .map_or(0, |g| g.busy_rejections.load(Ordering::Relaxed)),
-                    quota_rejections: gate
-                        .as_ref()
-                        .map_or(0, |g| g.quota_rejections.load(Ordering::Relaxed)),
-                }
-            })
-            .collect()
-    }
-
-    /// The observability block: per-kind and per-tenant latency
-    /// histograms, the shard-pass histogram with its adaptive-hedge
-    /// window, and the background-compaction timings.  Snapshots are
-    /// trimmed to the canonical wire form before they leave.
-    fn obs_stats(&self) -> WireObsStats {
-        let tenants = {
-            let map = self
-                .obs
-                .tenants
-                .read()
-                .expect("tenant histogram map poisoned");
-            let mut rows: Vec<(u32, HistSnapshot)> = map
-                .iter()
-                .map(|(&id, hist)| (id, hist.snapshot().trimmed()))
-                .collect();
-            rows.sort_by_key(|&(id, _)| id);
-            rows
-        };
-        let shard_pass = match &self.remote {
-            Some(remote) => remote.pass_latency_histogram(),
-            None => self.obs.shard_pass.snapshot(),
-        };
-        WireObsStats {
-            kinds: self
-                .obs
-                .kinds
-                .iter()
-                .map(|hist| hist.snapshot().trimmed())
-                .collect(),
-            tenants,
-            shard_pass: shard_pass.trimmed(),
-            hedge_budget_us: self.remote.as_ref().map_or(0, |r| r.hedge_budget_us()),
-            hedge_samples: self.remote.as_ref().map_or(0, |r| r.hedge_sample_count()),
-            compactions: self
-                .persist
-                .as_ref()
-                .map_or(0, |p| p.compaction.runs.load(Ordering::Relaxed)),
-            compaction_last_us: self
-                .persist
-                .as_ref()
-                .map_or(0, |p| p.compaction.last_us.load(Ordering::Relaxed)),
-            compaction_total_us: self
-                .persist
-                .as_ref()
-                .map_or(0, |p| p.compaction.total_us.load(Ordering::Relaxed)),
+        let v = &self.metrics;
+        let remote = self.remote.as_deref();
+        for (name, value) in [
+            ("connections_total", &v.connections),
+            ("frames_total", &v.frames),
+            ("busy_rejections_total", &v.busy_rejections),
+            ("quota_rejections_total", &v.quota_rejections),
+            ("malformed_frames_total", &v.malformed_frames),
+            ("oversized_frames_total", &v.oversized_frames),
+            ("pages_streamed_total", &v.pages_streamed),
+        ] {
+            m.counter(
+                &format!("spanner_server_{name}"),
+                &[],
+                value.load(Ordering::Relaxed),
+            );
         }
-    }
-
-    /// The full `stats` answer: service + transport + tenants + store +
-    /// the observability block.
-    fn stats_response(&self) -> Response {
-        Response::Stats {
-            service: (&self.service.stats()).into(),
-            server: self.server_stats(),
-            tenants: self.tenant_stats(),
-            store: self.persist.as_ref().map(|p| {
-                let mut stats: crate::proto::WireStoreStats = (&p.store.metrics()).into();
-                stats.snapshots_on_cadence = p.cadence_snapshots.load(Ordering::Relaxed);
-                stats.snapshots_on_size = p.compaction.runs.load(Ordering::Relaxed);
-                stats
-            }),
-            obs: Some(self.obs_stats()),
+        let (fallbacks, hedges) = remote.map_or((0, 0), |r| (r.fallback_count(), r.hedge_count()));
+        m.counter("spanner_server_executor_fallbacks_total", &[], fallbacks);
+        m.counter("spanner_server_executor_hedges_total", &[], hedges);
+        let cache = &self.block_cache;
+        m.counter("spanner_server_block_cache_hits_total", &[], cache.hits());
+        m.counter(
+            "spanner_server_block_cache_misses_total",
+            &[],
+            cache.misses(),
+        );
+        m.counter(
+            "spanner_server_block_cache_evictions_total",
+            &[],
+            cache.evictions(),
+        );
+        m.gauge(
+            "spanner_server_block_cache_resident_bytes",
+            &[],
+            cache.resident_bytes(),
+        );
+        m.counter(
+            "spanner_server_reshards_total",
+            &[],
+            v.reshards.load(Ordering::Relaxed),
+        );
+        // Lock-step requests holding an admission slot plus pipelined tasks
+        // on a dispatcher.
+        let inflight =
+            self.inflight.load(Ordering::Relaxed) + self.dispatching.load(Ordering::Relaxed);
+        m.gauge("spanner_server_inflight", &[], inflight as u64);
+        for class in TaskClass::ALL {
+            m.gauge(
+                "spanner_queue_depth",
+                &[("class", class.name())],
+                self.scheduler.depth(class),
+            );
         }
+        m.counter(
+            "spanner_shed_total",
+            &[("reason", "expired")],
+            v.shed_expired.load(Ordering::Relaxed),
+        );
+        m.counter(
+            "spanner_shed_total",
+            &[("reason", "overflow")],
+            v.shed_overflow.load(Ordering::Relaxed),
+        );
+
+        for id in self.service.tenant_ids() {
+            let config = self.service.tenant_config(id).unwrap_or_default();
+            let usage = self.service.tenant_usage(id).unwrap_or_default();
+            let (inflight, busy, quota) = self.admission.gate(id.0).map_or((0, 0, 0), |g| {
+                (
+                    g.inflight.load(Ordering::Relaxed) as u64,
+                    g.busy_rejections.load(Ordering::Relaxed),
+                    g.quota_rejections.load(Ordering::Relaxed),
+                )
+            });
+            let tenant = id.0.to_string();
+            let label = [("tenant", tenant.as_str())];
+            m.gauge("spanner_tenant_docs", &label, usage.docs);
+            m.gauge("spanner_tenant_docs_quota", &label, config.max_docs);
+            m.gauge("spanner_tenant_corpus_bytes", &label, usage.corpus_bytes);
+            m.gauge(
+                "spanner_tenant_corpus_bytes_quota",
+                &label,
+                config.max_corpus_bytes,
+            );
+            m.gauge(
+                "spanner_tenant_cache_resident_bytes",
+                &label,
+                self.service.tenant_cache_resident(id) as u64,
+            );
+            m.gauge(
+                "spanner_tenant_cache_share_bytes",
+                &label,
+                config.cache_share as u64,
+            );
+            m.gauge(
+                "spanner_tenant_admission_weight",
+                &label,
+                config.admission_weight as u64,
+            );
+            m.gauge("spanner_tenant_inflight", &label, inflight);
+            m.counter("spanner_tenant_busy_rejections_total", &label, busy);
+            m.counter("spanner_tenant_quota_rejections_total", &label, quota);
+        }
+
+        if let Some(p) = &self.persist {
+            let store = p.store.metrics();
+            m.gauge("spanner_store_log_records", &[], store.log_records);
+            m.gauge("spanner_store_log_bytes", &[], store.log_bytes);
+            m.gauge("spanner_store_last_seq", &[], store.last_seq);
+            m.gauge("spanner_store_snapshot_seq", &[], store.snapshot_seq);
+            m.counter("spanner_store_snapshots_total", &[], store.snapshots);
+            m.counter(
+                "spanner_store_snapshot_triggers_total",
+                &[("trigger", "cadence")],
+                p.cadence_snapshots.load(Ordering::Relaxed),
+            );
+            m.counter(
+                "spanner_store_snapshot_triggers_total",
+                &[("trigger", "size")],
+                p.compaction.runs.load(Ordering::Relaxed),
+            );
+            if let Some(age) = store.snapshot_age_secs {
+                m.gauge("spanner_store_snapshot_age_seconds", &[], age);
+            }
+        }
+
+        const DURATION: &str = "spanner_request_duration_us";
+        for (kind, hist) in Task::KIND_NAMES.iter().zip(&self.obs.kinds) {
+            m.hist(DURATION, &[("kind", kind)], &hist.snapshot());
+        }
+        let mut tenants: Vec<(u32, HistSnapshot)> = self
+            .obs
+            .tenants
+            .read()
+            .expect("tenant histogram map poisoned")
+            .iter()
+            .map(|(&id, hist)| (id, hist.snapshot()))
+            .collect();
+        tenants.sort_by_key(|&(id, _)| id);
+        for (id, hist) in &tenants {
+            m.hist(DURATION, &[("tenant", id.to_string().as_str())], hist);
+        }
+        // A coordinator with a remote pool exports the executor's
+        // histogram, which also covers local fallbacks.
+        let shard_pass = remote.map_or_else(
+            || self.obs.shard_pass.snapshot(),
+            |r| r.pass_latency_histogram(),
+        );
+        m.hist("spanner_shard_pass_duration_us", &[], &shard_pass);
+        m.gauge(
+            "spanner_executor_hedge_budget_us",
+            &[],
+            remote.map_or(0, |r| r.hedge_budget_us()),
+        );
+        m.gauge(
+            "spanner_executor_hedge_window_samples",
+            &[],
+            remote.map_or(0, |r| r.hedge_sample_count()),
+        );
+        let (runs, last_us, total_us) = self.persist.as_ref().map_or((0, 0, 0), |p| {
+            let c = &p.compaction;
+            (
+                c.runs.load(Ordering::Relaxed),
+                c.last_us.load(Ordering::Relaxed),
+                c.total_us.load(Ordering::Relaxed),
+            )
+        });
+        m.counter("spanner_store_compactions_total", &[], runs);
+        m.gauge(
+            "spanner_store_compaction_duration_us",
+            &[("stat", "last")],
+            last_us,
+        );
+        m.counter(
+            "spanner_store_compaction_duration_us",
+            &[("stat", "total")],
+            total_us,
+        );
+        m.finish()
     }
 
     /// Counts one quota rejection against the tenant and the server.
@@ -1038,6 +1123,7 @@ fn scheduler_loop(shared: Arc<Shared>) {
             continue;
         }
         let conn = task.conn.clone();
+        shared.dispatching.fetch_add(1, Ordering::Relaxed);
         let _ = run_task(
             &shared,
             &conn,
@@ -1050,6 +1136,7 @@ fn scheduler_loop(shared: Arc<Shared>) {
             task.received,
             Some(waited_us),
         );
+        shared.dispatching.fetch_sub(1, Ordering::Relaxed);
         conn.release_slot();
     }
 }
@@ -1148,6 +1235,7 @@ impl Server {
             block_cache: BlockCache::new(config.block_cache_budget),
             shutdown: AtomicBool::new(false),
             inflight: AtomicUsize::new(0),
+            dispatching: AtomicUsize::new(0),
             metrics: Metrics::default(),
             obs: Obs::new(),
             scheduler: Scheduler::new(),
@@ -1636,8 +1724,8 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) -> io::Result<()> {
 /// frame was a `shutdown`).  `received` is the instant the frame was read
 /// — the epoch of the request's trace, when it is sampled.
 ///
-/// Frames without a request id run lock-step on the reader thread (the v2
-/// behaviour, byte for byte); id-carrying task frames are handed to the
+/// Frames without a request id run lock-step on the reader thread;
+/// id-carrying task frames are handed to the
 /// QoS scheduler and complete out of order, everything else id-carrying
 /// runs inline but answers framed.
 fn handle_frame(
@@ -1688,7 +1776,14 @@ fn handle_frame(
                 },
             )
             .map(|()| false),
-        Request::Stats => conn.send(meta.id, &shared.stats_response()).map(|()| false),
+        Request::Stats => conn
+            .send(
+                meta.id,
+                &Response::Stats {
+                    text: shared.render_metrics(),
+                },
+            )
+            .map(|()| false),
         // Shutdown is always admitted: an overloaded server must drain.
         Request::Shutdown => {
             shared.shutdown.store(true, Ordering::SeqCst);
@@ -2056,7 +2151,7 @@ fn shard_build(
     let mut need_nfa = false;
     let nfa = match nfa {
         Some(wire) => {
-            if nfa_hash != 0 && wire.content_hash() != nfa_hash {
+            if wire.content_hash() != nfa_hash {
                 return Response::Error {
                     code: ErrorCode::Malformed,
                     detail: "nfa bytes do not match their claimed content hash".into(),
@@ -2072,14 +2167,12 @@ fn shard_build(
                 }
             };
             let decoded = Arc::new(decoded);
-            if nfa_hash != 0 {
-                cache.put(
-                    BlockKind::Nfa,
-                    nfa_hash,
-                    CachedBlock::Nfa(decoded.clone()),
-                    nfa_cache_cost(&wire),
-                );
-            }
+            cache.put(
+                BlockKind::Nfa,
+                nfa_hash,
+                CachedBlock::Nfa(decoded.clone()),
+                nfa_cache_cost(&wire),
+            );
             Some(decoded)
         }
         None => match cache.get(BlockKind::Nfa, nfa_hash) {
@@ -2106,7 +2199,7 @@ fn shard_build(
                     }
                 }
             };
-            if block_hash != 0 && slp::block_content_hash(&rules, root.0) != block_hash {
+            if slp::block_content_hash(&rules, root.0) != block_hash {
                 return Response::Error {
                     code: ErrorCode::Malformed,
                     detail: "shard block bytes do not match their claimed content hash".into(),
@@ -2122,17 +2215,15 @@ fn shard_build(
                 }
             };
             let block = Arc::new(block);
-            if block_hash != 0 {
-                // `48` ≈ the decoded bytes per rule: the rule itself plus
-                // the precomputed length/depth/order tables.
-                let cost = block.num_non_terminals() * 48;
-                cache.put(
-                    BlockKind::Rules,
-                    block_hash,
-                    CachedBlock::Rules(block.clone()),
-                    cost,
-                );
-            }
+            // `48` ≈ the decoded bytes per rule: the rule itself plus the
+            // precomputed length/depth/order tables.
+            let cost = block.num_non_terminals() * 48;
+            cache.put(
+                BlockKind::Rules,
+                block_hash,
+                CachedBlock::Rules(block.clone()),
+                cost,
+            );
             Some(block)
         }
         None => match cache.get(BlockKind::Rules, block_hash) {
@@ -2241,7 +2332,7 @@ fn finish_trace(
 /// Executes one task and writes its response(s) tagged with `id` (`0` for
 /// the lock-step path).  `queue_wait_us` is the scheduler wait of a
 /// pipelined task (recorded as a `queue_wait` span on sampled traces);
-/// lock-step tasks pass `None` and record the v2-era `admit` span.
+/// lock-step tasks pass `None` and record an `admit` span.
 #[allow(clippy::too_many_arguments)]
 fn run_task(
     shared: &Arc<Shared>,

@@ -5,7 +5,7 @@
 //!
 //! Run with `cargo run --release --example serving`.
 
-use spanner_server::{retry_busy, Client, Server, ServerConfig};
+use spanner_server::{metrics, retry_busy, Client, Server, ServerConfig, PROTOCOL_VERSION};
 use spanner_slp_core::Service;
 use std::time::{Duration, Instant};
 
@@ -88,7 +88,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let refused = capped_client.add_query(".*x{ab}.*", b"ab").unwrap_err();
     println!("starved server says: {refused}");
     assert!(refused.is_busy());
-    assert_eq!(capped_client.ping()?, 2, "the connection survived the busy");
+    assert_eq!(
+        capped_client.ping()?,
+        PROTOCOL_VERSION,
+        "the connection survived the busy"
+    );
     assert!(retry_busy(3, Duration::from_millis(1), || {
         capped_client.add_query(".*x{ab}.*", b"ab")
     })
@@ -96,14 +100,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     capped.shutdown_and_join();
 
     // Service-wide and transport counters over the wire, then a drain.
-    let (service_stats, server_stats) = client.stats()?;
+    let scrape = client.stats()?;
+    let series = |name: &str| metrics::value(&scrape, name).unwrap_or(0);
     println!(
         "stats: {} requests ({} enumerate), {} cache hits / {} misses, {} pages streamed",
-        service_stats.requests,
-        service_stats.enumerate,
-        service_stats.cache_hits,
-        service_stats.cache_misses,
-        server_stats.pages_streamed
+        series("spanner_requests_total"),
+        series("spanner_tasks_total{kind=\"enumerate\"}"),
+        series("spanner_cache_hits_total"),
+        series("spanner_cache_misses_total"),
+        series("spanner_server_pages_streamed_total")
     );
     client.shutdown()?;
     server.join();

@@ -76,9 +76,9 @@ pub use spanner_workloads as workloads;
 pub mod prelude {
     pub use crate::eval::{
         compute::compute_all, count::count_results, enumerate::Enumerator, model_check,
-        nonemptiness, DocumentId, Engine, EvalError, Evaluation, PreparedDocument, PreparedQuery,
-        QueryId, RequestStats, Service, ServiceBuilder, ServiceStats, SlpSpanner, Task,
-        TaskOutcome, TaskRequest, TaskResponse,
+        nonemptiness, DocumentId, EvalError, PreparedDocument, PreparedQuery, QueryId,
+        RequestStats, Service, ServiceBuilder, ServiceStats, SlpSpanner, Task, TaskOutcome,
+        TaskRequest, TaskResponse,
     };
     pub use crate::slp::{
         compress::{Bisection, Compressor, RePair},

@@ -147,8 +147,8 @@ fn gather_is_summary_sized_and_scatter_never_ships_the_document() {
 
     // Gather: two bitplanes per rule (2 bits per summary entry, base64 on
     // the wire) plus bounded framing — independent of how large the
-    // marker-set matrices are, and ~3× below the one-byte-per-entry
-    // payload bound the v1 wire format needed.
+    // marker-set matrices are, and ~3× below a one-byte-per-entry
+    // payload bound.
     let gather = executor.gather_bytes() as usize;
     assert!(gather > 0);
     let plane_bytes = (q_states * q_states).div_ceil(8);
@@ -160,7 +160,7 @@ fn gather_is_summary_sized_and_scatter_never_ships_the_document() {
     );
     assert!(
         gather < block_rules * q_states * q_states + 160 * k,
-        "gather {gather} bytes should undercut the legacy one-byte-per-entry \
+        "gather {gather} bytes should undercut the one-byte-per-entry \
          bound ({block_rules} rules × {q_states}²)"
     );
     let resident = document

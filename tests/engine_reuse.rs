@@ -1,7 +1,8 @@
-//! Integration tests for the two-stage evaluation engine: query-side
-//! preparation is shared across documents, document-side preparation across
-//! queries, batch evaluation matches per-pair evaluation, and the parallel
-//! matrix pass is output-identical to the serial one.
+//! Integration tests for the two-stage evaluation engine behind the
+//! `Service` pool: query-side preparation is shared across documents,
+//! document-side preparation across queries, batch evaluation matches
+//! per-pair evaluation, and the parallel matrix pass is output-identical to
+//! the serial one.
 
 use slp_spanner::eval::matrices::Preprocessed;
 use slp_spanner::eval::prepared::end_transform_count;
@@ -32,6 +33,11 @@ fn queries() -> Vec<SpannerAutomaton<u8>> {
     ]
 }
 
+fn run(service: &Service, query: QueryId, doc: DocumentId, task: Task) -> TaskOutcome {
+    let request = TaskRequest { query, doc, task };
+    service.run(&request).unwrap().outcome
+}
+
 /// Preparing one query against `k` documents performs the automaton-side
 /// transformation (ε-removal + end-transformation) exactly once.
 #[test]
@@ -41,12 +47,12 @@ fn query_preparation_runs_once_across_documents() {
     let docs = documents();
 
     let before = end_transform_count();
-    let mut engine = Engine::new();
-    let q = engine.add_query(&query);
-    let dids: Vec<DocumentId> = docs.iter().map(|d| engine.add_document(d)).collect();
+    let service = Service::new();
+    let q = service.add_query(&query);
+    let dids: Vec<DocumentId> = docs.iter().map(|d| service.add_document(d)).collect();
     let mut counts = Vec::new();
     for &d in &dids {
-        counts.push(engine.evaluate(q, d).count());
+        counts.push(run(&service, q, d, Task::Count).as_count().unwrap());
     }
     let after = end_transform_count();
     assert_eq!(
@@ -72,32 +78,39 @@ fn document_preparation_is_shared_across_queries() {
     let doc = families::power_word(b"ab", 128);
     let qs = queries();
 
-    let mut engine = Engine::new();
-    let d = engine.add_document(&doc);
-    let qids: Vec<QueryId> = qs.iter().map(|m| engine.add_query(m)).collect();
+    let service = Service::new();
+    let d = service.add_document(&doc);
+    let qids: Vec<QueryId> = qs.iter().map(|m| service.add_query(m)).collect();
     for (m, &q) in qs.iter().zip(&qids) {
-        let engine_result: BTreeSet<SpanTuple> =
-            engine.evaluate(q, d).compute().into_iter().collect();
+        let pooled: BTreeSet<SpanTuple> = run(&service, q, d, Task::Compute { limit: None })
+            .into_tuples()
+            .unwrap()
+            .into_iter()
+            .collect();
         let fresh: BTreeSet<SpanTuple> = SlpSpanner::new(m, &doc)
             .unwrap()
             .compute()
             .into_iter()
             .collect();
-        assert_eq!(engine_result, fresh);
+        assert_eq!(pooled, fresh);
     }
-    assert_eq!(engine.document(d).cached_query_count(), qs.len());
+    assert_eq!(service.document(d).cached_query_count(), qs.len());
 
     // Re-evaluating every pair hits the cache: no new matrix sets appear.
     for &q in &qids {
-        assert!(engine.evaluate(q, d).count() == engine.evaluate(q, d).count());
+        let request = TaskRequest {
+            query: q,
+            doc: d,
+            task: Task::Count,
+        };
+        assert!(service.run(&request).unwrap().stats.cache_hit);
     }
-    assert_eq!(engine.document(d).cached_query_count(), qs.len());
+    assert_eq!(service.document(d).cached_query_count(), qs.len());
 }
 
 /// `Service::run_batch` over the full query × document cross-product
 /// returns exactly what a fresh `SlpSpanner` per pair computes — it is the
-/// one batch fan-out point (the old `Engine::evaluate_batch` wrapper is
-/// gone).
+/// one batch fan-out point.
 #[test]
 fn run_batch_matches_fresh_slp_spanner_per_pair() {
     let _guard = COUNTER_LOCK.lock().unwrap();
@@ -138,30 +151,6 @@ fn run_batch_matches_fresh_slp_spanner_per_pair() {
             expected.len(),
             "duplicates in query {qi} × document {di}"
         );
-    }
-}
-
-/// All four tasks answered through the engine agree with the facade on a
-/// pair with a non-trivial result set.
-#[test]
-fn engine_evaluation_answers_all_tasks() {
-    let _guard = COUNTER_LOCK.lock().unwrap();
-    let query = compile_query(".*x{a+}y{b+}.*", b"ab").unwrap();
-    let doc = Bisection.compress(b"aabbaabb");
-
-    let mut engine = Engine::new();
-    let q = engine.add_query(&query);
-    let d = engine.add_document(&doc);
-    let eval = engine.evaluate(q, d);
-    let fresh = SlpSpanner::new(&query, &doc).unwrap();
-
-    assert!(eval.is_non_empty());
-    assert_eq!(eval.count(), fresh.count());
-    let computed: BTreeSet<SpanTuple> = eval.compute().into_iter().collect();
-    let enumerated: BTreeSet<SpanTuple> = eval.enumerate().collect();
-    assert_eq!(computed, enumerated);
-    for tuple in &computed {
-        assert!(eval.check(tuple).unwrap());
     }
 }
 

@@ -8,7 +8,10 @@
 
 use slp_spanner::eval::matrices::Preprocessed;
 use slp_spanner::prelude::*;
-use spanner_server::{Client, RemoteExecutor, Request, Response, Server, ServerConfig, WireNfa};
+use spanner_server::{
+    metrics, Client, PersistenceOptions, RemoteExecutor, Request, Response, Server, ServerConfig,
+    ServerOptions, TenantSpec, WireNfa,
+};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
@@ -176,8 +179,8 @@ fn warm_rebuilds_collapse_to_hash_sized_scatter() {
         .iter()
         .map(|w| {
             let mut client = Client::connect(w.local_addr()).unwrap();
-            let (_, server_stats) = client.stats().unwrap();
-            server_stats.block_cache_hits
+            let scrape = client.stats().unwrap();
+            metrics::value(&scrape, "spanner_server_block_cache_hits_total").unwrap()
         })
         .sum();
     assert!(hits >= 1, "no worker reported a block-cache hit");
@@ -219,9 +222,9 @@ fn worker_restart_forgets_its_cache_and_renegotiates() {
         "the restarted worker should have answered `need` at least once"
     );
     let mut client = Client::connect(second.local_addr()).unwrap();
-    let (_, server_stats) = client.stats().unwrap();
+    let scrape = client.stats().unwrap();
     assert!(
-        server_stats.block_cache_misses >= 1,
+        metrics::value(&scrape, "spanner_server_block_cache_misses_total").unwrap() >= 1,
         "the fresh worker's cache started empty"
     );
     drop(client);
@@ -246,8 +249,11 @@ fn zero_cache_budgets_force_renegotiation_not_wrong_answers() {
     assert_eq!(executor.fallback_count(), 0);
     assert_eq!(executor.hash_only_pass_count(), 0);
     let mut client = Client::connect(worker.local_addr()).unwrap();
-    let (_, server_stats) = client.stats().unwrap();
-    assert_eq!(server_stats.block_cache_hits, 0);
+    let scrape = client.stats().unwrap();
+    assert_eq!(
+        metrics::value(&scrape, "spanner_server_block_cache_hits_total"),
+        Some(0)
+    );
     drop(client);
     worker.shutdown_and_join();
 }
@@ -517,4 +523,99 @@ fn health_prober_evicts_dead_workers_and_readmits_rejoiners() {
 
     live.shutdown_and_join();
     second.shutdown_and_join();
+}
+
+/// The full scrape of a durable, two-tenant front-end over a remote pool
+/// carries every metric family at once — service, transport, scheduler,
+/// tenant, store, executor, block-cache and latency histograms — and both
+/// it and the worker's scrape are well-formed Prometheus text.
+#[test]
+fn full_scrapes_of_a_durable_two_tenant_front_end_and_its_worker_lint() {
+    let worker = boot_worker();
+    let executor = Arc::new(RemoteExecutor::new([worker.local_addr().to_string()]));
+    let dir = std::env::temp_dir().join(format!("spanner-fleet-scrape-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let options = ServerOptions {
+        persistence: Some(PersistenceOptions {
+            dir: dir.clone(),
+            snapshot_every: 2,
+            snapshot_bytes: 0,
+        }),
+        remote: Some(executor.clone()),
+        ..ServerOptions::from(ServerConfig::default())
+    };
+    let service = Service::builder().shard_executor(executor).build();
+    let front = Server::bind_with("127.0.0.1:0", service, options).expect("bind front-end");
+    let mut client = Client::connect(front.local_addr()).unwrap();
+    client
+        .tenant_create(TenantSpec {
+            id: 5,
+            name: "acme".into(),
+            max_docs: 10,
+            max_corpus_bytes: 1 << 20,
+            cache_share: 0,
+            admission_weight: 2,
+        })
+        .unwrap();
+    let q = client.add_query(".*x{a+}y{b+}.*", b"ab").unwrap();
+    let sharded = client
+        .add_doc_sharded(&b"aabbab".repeat(300), 4)
+        .unwrap()
+        .id;
+    assert!(client.count(q, sharded).unwrap().0 > 0);
+    client.set_tenant(5);
+    let own = client.add_doc(b"abab").unwrap().id;
+    client.non_empty(q, own).unwrap();
+    client.enumerate(q, own, 0, None, |_| {}).unwrap();
+
+    let scrape = client.stats().unwrap();
+    metrics::lint(&scrape).unwrap_or_else(|e| panic!("{e}:\n{scrape}"));
+    for family in [
+        "spanner_requests_total",
+        "spanner_tasks_total{kind=\"count\"}",
+        "spanner_cache_resident_bytes",
+        "spanner_server_frames_total",
+        "spanner_server_inflight",
+        "spanner_server_executor_fallbacks_total",
+        "spanner_server_executor_hedges_total",
+        "spanner_server_block_cache_hits_total",
+        "spanner_queue_depth{class=\"cheap\"}",
+        "spanner_shed_total{reason=\"expired\"}",
+        "spanner_tenant_docs{tenant=\"0\"}",
+        "spanner_tenant_docs{tenant=\"5\"}",
+        "spanner_tenant_admission_weight{tenant=\"5\"}",
+        "spanner_store_log_records",
+        "spanner_store_snapshots_total",
+        "spanner_store_snapshot_triggers_total{trigger=\"cadence\"}",
+        "spanner_request_duration_us_count{kind=\"enumerate\"}",
+        "spanner_request_duration_us_count{tenant=\"5\"}",
+        "spanner_shard_pass_duration_us_count",
+        "spanner_executor_hedge_budget_us",
+        "spanner_store_compactions_total",
+    ] {
+        assert!(
+            metrics::value(&scrape, family).is_some(),
+            "front-end scrape lacks {family}:\n{scrape}"
+        );
+    }
+    assert_eq!(
+        metrics::value(&scrape, "spanner_tenant_docs{tenant=\"5\"}"),
+        Some(1)
+    );
+    assert!(metrics::value(&scrape, "spanner_shard_pass_duration_us_count").unwrap() >= 4);
+
+    let mut worker_client = Client::connect(worker.local_addr()).unwrap();
+    let worker_scrape = worker_client.stats().unwrap();
+    metrics::lint(&worker_scrape).unwrap_or_else(|e| panic!("{e}:\n{worker_scrape}"));
+    assert!(
+        metrics::value(&worker_scrape, "spanner_server_block_cache_resident_bytes").unwrap() > 0,
+        "{worker_scrape}"
+    );
+    assert!(metrics::value(&worker_scrape, "spanner_shard_pass_duration_us_count").unwrap() >= 4);
+
+    client.shutdown().unwrap();
+    front.join();
+    drop(worker_client);
+    worker.shutdown_and_join();
+    let _ = std::fs::remove_dir_all(&dir);
 }

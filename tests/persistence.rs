@@ -4,11 +4,20 @@
 //! ones), same shard layouts, and **zero** `auto_k` re-probing.
 
 use spanner_server::{
-    Client, ClientError, ErrorCode, PersistenceOptions, Server, ServerConfig, ServerOptions,
-    TenantSpec,
+    metrics, Client, ClientError, ErrorCode, PersistenceOptions, Server, ServerConfig,
+    ServerOptions, TenantSpec,
 };
 use spanner_slp_core::Service;
 use std::path::PathBuf;
+
+const CADENCE_TRIGGERS: &str = "spanner_store_snapshot_triggers_total{trigger=\"cadence\"}";
+const SIZE_TRIGGERS: &str = "spanner_store_snapshot_triggers_total{trigger=\"size\"}";
+
+/// One series of a durable server's scrape (the store families are always
+/// present when persistence is on).
+fn series(scrape: &str, name: &str) -> u64 {
+    metrics::value(scrape, name).unwrap_or_else(|| panic!("no series {name}:\n{scrape}"))
+}
 
 struct TempDir(PathBuf);
 
@@ -193,20 +202,22 @@ fn log_size_triggers_snapshots_and_attributes_them() {
         client.add_doc(b"aabb").unwrap();
         client.add_doc(b"babaab").unwrap();
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        let store = loop {
-            let stats = client.stats_full().unwrap();
-            let store = stats.store.expect("durable server exports store stats");
-            if store.snapshots_on_size >= 1 || std::time::Instant::now() >= deadline {
-                break store;
+        let scrape = loop {
+            let scrape = client.stats().unwrap();
+            if series(&scrape, SIZE_TRIGGERS) >= 1 || std::time::Instant::now() >= deadline {
+                break scrape;
             }
             std::thread::sleep(std::time::Duration::from_millis(10));
         };
         assert!(
-            store.snapshots_on_size >= 1,
-            "the size trigger compacts in the background: {store:?}"
+            series(&scrape, SIZE_TRIGGERS) >= 1,
+            "the size trigger compacts in the background:\n{scrape}"
         );
-        assert!(store.snapshots >= 1, "the store cut at least one snapshot");
-        assert_eq!(store.snapshots_on_cadence, 0, "cadence is off");
+        assert!(
+            series(&scrape, "spanner_store_snapshots_total") >= 1,
+            "the store cut at least one snapshot"
+        );
+        assert_eq!(series(&scrape, CADENCE_TRIGGERS), 0, "cadence is off");
         client.shutdown().unwrap();
         server.join();
     }
@@ -230,11 +241,14 @@ fn cadence_wins_attribution_when_both_triggers_fire() {
     let mut client = Client::connect(server.local_addr()).unwrap();
     client.add_doc(b"abab").unwrap();
     client.add_doc(b"baba").unwrap();
-    let stats = client.stats_full().unwrap();
-    let store = stats.store.expect("durable server exports store stats");
-    assert_eq!(store.snapshots, 2);
-    assert_eq!(store.snapshots_on_cadence, 2, "cadence takes attribution");
-    assert_eq!(store.snapshots_on_size, 0);
+    let scrape = client.stats().unwrap();
+    assert_eq!(series(&scrape, "spanner_store_snapshots_total"), 2);
+    assert_eq!(
+        series(&scrape, CADENCE_TRIGGERS),
+        2,
+        "cadence takes attribution"
+    );
+    assert_eq!(series(&scrape, SIZE_TRIGGERS), 0);
     client.shutdown().unwrap();
     server.join();
 }

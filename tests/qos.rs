@@ -1,18 +1,29 @@
 //! Integration tests of protocol v3 pipelining and the QoS scheduler:
 //! out-of-order completion, page interleaving on one socket, deadline
-//! shedding, class-queue overflow, and v2 client compatibility.
+//! shedding, class-queue overflow, and lock-step frames beside pipelined
+//! ones.
 
 use spanner_server::{
-    Client, ErrorCode, PipelinedClient, Response, Server, ServerConfig, WireTask,
+    metrics, Client, ErrorCode, PipelinedClient, Response, Server, ServerConfig, WireTask,
 };
 use spanner_slp_core::Service;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+const SHED_EXPIRED: &str = "spanner_shed_total{reason=\"expired\"}";
+const SHED_OVERFLOW: &str = "spanner_shed_total{reason=\"overflow\"}";
+const INFLIGHT: &str = "spanner_server_inflight";
+
 /// Boots a loopback server over a fresh service.
 fn boot(config: ServerConfig) -> Server {
     Server::bind("127.0.0.1:0", Service::new(), config).expect("bind loopback")
+}
+
+/// One series of a server's scrape.
+fn series(client: &mut Client, name: &str) -> u64 {
+    let scrape = client.stats().unwrap();
+    metrics::value(&scrape, name).unwrap_or_else(|| panic!("no series {name}:\n{scrape}"))
 }
 
 /// Registers one query and one document whose enumeration yields `pairs`
@@ -215,9 +226,11 @@ fn late_queued_work_is_shed_as_expired_not_busy() {
         }
     }
 
-    let stats = admin.stats_full().unwrap();
-    assert!(stats.server.shed_expired >= 1, "shed_expired not counted");
-    assert_eq!(stats.server.shed_overflow, 0);
+    assert!(
+        series(&mut admin, SHED_EXPIRED) >= 1,
+        "shed_expired not counted"
+    );
+    assert_eq!(series(&mut admin, SHED_OVERFLOW), 0);
     admin.shutdown().unwrap();
     server.join();
 }
@@ -281,16 +294,18 @@ fn class_queue_overflow_sheds_busy_without_penalising_other_classes() {
     let scan_reply = replies.iter().find(|r| r.id == scan).unwrap();
     assert!(matches!(scan_reply.response, Response::StreamEnd { .. }));
 
-    let stats = admin.stats_full().unwrap();
-    assert!(stats.server.shed_overflow >= 1, "shed_overflow not counted");
+    assert!(
+        series(&mut admin, SHED_OVERFLOW) >= 1,
+        "shed_overflow not counted"
+    );
     admin.shutdown().unwrap();
     server.join();
 }
 
 #[test]
-fn v2_clients_interoperate_with_a_v3_server() {
-    // A v2 client sends unframed frames with `"v":2` and expects lock-step
-    // responses with no `rid` key — exactly what the inline path answers.
+fn idless_frames_get_lockstep_replies_without_rid() {
+    // A frame without a request id is served inline, and its responses
+    // carry no `rid` key at all.
     let server = boot(ServerConfig::default());
     let mut admin = Client::connect(server.local_addr()).unwrap();
     let (query, doc) = register(&mut admin, 4);
@@ -309,7 +324,7 @@ fn v2_clients_interoperate_with_a_v3_server() {
         line
     };
 
-    let pong = call(b"{\"v\":2,\"op\":\"ping\"}");
+    let pong = call(b"{\"v\":3,\"op\":\"ping\"}");
     assert!(
         !pong.windows(5).any(|w| w == b"\"rid\""),
         "pong carries rid"
@@ -320,7 +335,7 @@ fn v2_clients_interoperate_with_a_v3_server() {
     ));
 
     let counted = call(
-        format!("{{\"v\":2,\"op\":\"task\",\"task\":\"count\",\"query\":{query},\"doc\":{doc}}}")
+        format!("{{\"v\":3,\"op\":\"task\",\"task\":\"count\",\"query\":{query},\"doc\":{doc}}}")
             .as_bytes(),
     );
     assert!(
@@ -339,15 +354,58 @@ fn v2_clients_interoperate_with_a_v3_server() {
 #[test]
 fn queue_depth_gauges_are_reported() {
     // The scheduler's introspection surface: both class gauges exist in
-    // the stats frame (zero on an idle server) — scrape wiring depends on
-    // them.
-    let server = boot(ServerConfig::default());
+    // the scrape (zero on an idle server) — scrape wiring depends on them.
+    let server = boot(ServerConfig {
+        scheduler_workers: 1,
+        page_size: 1,
+        ..ServerConfig::default()
+    });
     let mut client = Client::connect(server.local_addr()).unwrap();
-    let stats = client.stats_full().unwrap();
-    assert_eq!(stats.server.queue_depth_cheap, 0);
-    assert_eq!(stats.server.queue_depth_expensive, 0);
-    assert_eq!(stats.server.shed_expired, 0);
-    assert_eq!(stats.server.shed_overflow, 0);
+    for name in [
+        "spanner_queue_depth{class=\"cheap\"}",
+        "spanner_queue_depth{class=\"expensive\"}",
+        SHED_EXPIRED,
+        SHED_OVERFLOW,
+        INFLIGHT,
+    ] {
+        assert_eq!(series(&mut client, name), 0, "{name}");
+    }
+
+    // A pipelined scan executing on a dispatcher is in flight: it holds no
+    // lock-step admission slot, but the gauge must still see it.  Its
+    // client reads nothing until the end, so the scan stays busy writing
+    // pages while the gauge is polled.
+    let (query, doc) = register(&mut client, 50_000);
+    let mut pipe = PipelinedClient::connect(server.local_addr()).unwrap();
+    pipe.submit(
+        query,
+        doc,
+        WireTask::Enumerate {
+            skip: 0,
+            limit: None,
+        },
+    )
+    .unwrap();
+    // Polls the gauge until `done` holds (or a generous deadline passes).
+    let mut poll_inflight = |done: fn(u64) -> bool| {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        loop {
+            let inflight = series(&mut client, INFLIGHT);
+            if done(inflight) || std::time::Instant::now() >= deadline {
+                return inflight;
+            }
+        }
+    };
+    assert!(
+        poll_inflight(|n| n >= 1) >= 1,
+        "a running pipelined scan is not in flight"
+    );
+    assert!(matches!(
+        pipe.drain().unwrap()[0].response,
+        Response::StreamEnd { .. }
+    ));
+    // The dispatcher leaves the gauge right after writing the last frame.
+    assert_eq!(poll_inflight(|n| n == 0), 0);
     client.shutdown().unwrap();
     server.join();
 }

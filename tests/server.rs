@@ -5,7 +5,7 @@
 
 use slp::NormalFormSlp;
 use spanner::regex;
-use spanner_server::{retry_busy, Client, ClientError, ErrorCode, Server, ServerConfig};
+use spanner_server::{metrics, retry_busy, Client, ClientError, ErrorCode, Server, ServerConfig};
 use spanner_slp_core::service::{Service, Task, TaskOutcome, TaskRequest};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -182,8 +182,11 @@ fn sixteen_concurrent_clients_get_identical_results() {
 
     // Overload is answered with structured busy errors, never drops: every
     // connection above completed all its rounds.
-    let (_, server_stats) = admin.stats().unwrap();
-    assert_eq!(server_stats.connections, 17);
+    let scrape = admin.stats().unwrap();
+    assert_eq!(
+        metrics::value(&scrape, "spanner_server_connections_total"),
+        Some(17)
+    );
     admin.shutdown().unwrap();
     server.join();
 }
@@ -195,11 +198,13 @@ fn malformed_frames_draw_errors_and_keep_the_connection() {
     let mut reader = BufReader::new(raw.try_clone().unwrap());
     let mut reply = String::new();
 
-    // Garbage, valid JSON with an unknown op, and a version mismatch.
+    // Garbage, valid JSON with an unknown op, and version mismatches (the
+    // server speaks v3 only).
     for (frame, code) in [
         ("this is not json\n", "malformed"),
-        ("{\"v\":1,\"op\":\"frobnicate\"}\n", "malformed"),
+        ("{\"v\":3,\"op\":\"frobnicate\"}\n", "malformed"),
         ("{\"v\":99,\"op\":\"ping\"}\n", "version"),
+        ("{\"v\":2,\"op\":\"ping\"}\n", "version"),
     ] {
         raw.write_all(frame.as_bytes()).unwrap();
         reply.clear();
@@ -211,7 +216,7 @@ fn malformed_frames_draw_errors_and_keep_the_connection() {
     }
 
     // The connection is still perfectly usable.
-    raw.write_all(b"{\"v\":1,\"op\":\"ping\"}\n").unwrap();
+    raw.write_all(b"{\"v\":3,\"op\":\"ping\"}\n").unwrap();
     reply.clear();
     reader.read_line(&mut reply).unwrap();
     assert!(reply.contains("\"proto\":3"), "{reply:?}");
@@ -236,7 +241,7 @@ fn oversized_frames_are_discarded_not_buffered() {
     assert!(reply.contains("\"error\":\"oversized\""), "{reply:?}");
 
     // The next (valid) frame on the same connection works.
-    raw.write_all(b"{\"v\":1,\"op\":\"ping\"}\n").unwrap();
+    raw.write_all(b"{\"v\":3,\"op\":\"ping\"}\n").unwrap();
     reply.clear();
     reader.read_line(&mut reply).unwrap();
     assert!(reply.contains("\"proto\":3"), "{reply:?}");
@@ -250,7 +255,7 @@ fn oversized_frames_are_discarded_not_buffered() {
     reply.clear();
     reader.read_line(&mut reply).unwrap();
     assert!(reply.contains("\"error\":\"oversized\""), "{reply:?}");
-    raw.write_all(b"{\"v\":1,\"op\":\"ping\"}\n").unwrap();
+    raw.write_all(b"{\"v\":3,\"op\":\"ping\"}\n").unwrap();
     reply.clear();
     reader.read_line(&mut reply).unwrap();
     assert!(reply.contains("\"proto\":3"), "{reply:?}");
@@ -277,7 +282,7 @@ fn a_stalled_reader_cannot_wedge_the_drain() {
     let mut stalled = TcpStream::connect(addr).unwrap();
     stalled
         .write_all(
-            format!("{{\"v\":1,\"op\":\"task\",\"task\":\"enumerate\",\"query\":{q},\"doc\":{d},\"skip\":0,\"limit\":null}}\n")
+            format!("{{\"v\":3,\"op\":\"task\",\"task\":\"enumerate\",\"query\":{q},\"doc\":{d},\"skip\":0,\"limit\":null}}\n")
                 .as_bytes(),
         )
         .unwrap();
@@ -315,8 +320,11 @@ fn overload_backpressure_is_structured_busy_not_a_drop() {
 
     // The connection survives; observability stays admitted.
     assert_eq!(client.ping().unwrap(), 3);
-    let (_, server_stats) = client.stats().unwrap();
-    assert_eq!(server_stats.busy_rejections, 1);
+    let scrape = client.stats().unwrap();
+    assert_eq!(
+        metrics::value(&scrape, "spanner_server_busy_rejections_total"),
+        Some(1)
+    );
     server.shutdown_and_join();
 }
 
@@ -417,7 +425,7 @@ fn graceful_shutdown_drains_and_refuses_new_work() {
                 .set_read_timeout(Some(Duration::from_millis(200)))
                 .unwrap();
             let mut buf = [0u8; 1];
-            stream.write_all(b"{\"v\":1,\"op\":\"ping\"}\n").is_err()
+            stream.write_all(b"{\"v\":3,\"op\":\"ping\"}\n").is_err()
                 || matches!(stream.read(&mut buf), Ok(0) | Err(_))
         }
     );
@@ -433,14 +441,15 @@ fn remove_doc_burns_the_id_and_clears_the_cache() {
     let d2 = client.add_doc(TEXTS[1]).unwrap().id;
     client.count(q, d1).unwrap();
     client.count(q, d2).unwrap();
-    let (service_stats, _) = client.stats().unwrap();
-    assert_eq!(service_stats.resident_entries, 2);
+    let resident = |client: &mut Client| {
+        metrics::value(&client.stats().unwrap(), "spanner_cache_resident_entries")
+    };
+    assert_eq!(resident(&mut client), Some(2));
 
     client.remove_doc(d1).unwrap();
 
     // The cached matrices of d1 are gone; d2's stay resident and warm.
-    let (service_stats, _) = client.stats().unwrap();
-    assert_eq!(service_stats.resident_entries, 1);
+    assert_eq!(resident(&mut client), Some(1));
     let (_, stats) = client.count(q, d2).unwrap();
     assert!(stats.cache_hit, "the surviving document stays warm");
 

@@ -1,7 +1,7 @@
 //! Tenant-isolation integration tests: quotas draw the structured `quota`
 //! error (not `busy`), wire ids never resolve across tenant namespaces,
-//! cache shares protect one tenant's matrices from another's flood, and a
-//! pre-tenancy v2 client (no tenant field anywhere) keeps working.
+//! cache shares protect one tenant's matrices from another's flood, and
+//! frames without a tenant field run in the default tenant.
 
 use slp::NormalFormSlp;
 use spanner::regex;
@@ -194,9 +194,9 @@ fn cache_shares_protect_a_tenant_from_another_tenants_flood() {
 }
 
 #[test]
-fn v2_frames_without_tenant_fields_still_round_trip() {
-    // A pre-tenancy v2 client: raw frames with no "t" key anywhere must
-    // register, query and remove against the default tenant.
+fn untenanted_frames_round_trip_in_the_default_tenant() {
+    // Raw frames with no "t" key anywhere must register, query and remove
+    // against the default tenant.
     let server = boot();
     let stream = TcpStream::connect(server.local_addr()).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
@@ -210,13 +210,13 @@ fn v2_frames_without_tenant_fields_still_round_trip() {
         line.trim_end().to_string()
     };
 
-    let reply = call(r#"{"v":2,"op":"add_query","pattern":".*x{ab}.*","alphabet":"ab"}"#);
+    let reply = call(r#"{"v":3,"op":"add_query","pattern":".*x{ab}.*","alphabet":"ab"}"#);
     assert!(reply.contains("\"query\":0"), "got {reply}");
-    let reply = call(r#"{"v":2,"op":"add_doc","text":"abababab"}"#);
+    let reply = call(r#"{"v":3,"op":"add_doc","text":"abababab"}"#);
     assert!(reply.contains("\"doc\":0"), "got {reply}");
-    let reply = call(r#"{"v":2,"op":"task","task":"count","query":0,"doc":0}"#);
+    let reply = call(r#"{"v":3,"op":"task","task":"count","query":0,"doc":0}"#);
     assert!(reply.contains("\"count\":4"), "got {reply}");
-    let reply = call(r#"{"v":2,"op":"remove_doc","doc":0}"#);
+    let reply = call(r#"{"v":3,"op":"remove_doc","doc":0}"#);
     assert!(reply.contains("\"removed\":0"), "got {reply}");
 
     // The doc registered above landed in the default tenant's namespace:

@@ -5,7 +5,7 @@
 //! all, and the latency histograms in `stats` observe every request.
 
 use slp_spanner::prelude::*;
-use spanner_server::{Client, RemoteExecutor, Server, ServerConfig};
+use spanner_server::{metrics, Client, RemoteExecutor, Server, ServerConfig};
 use spanner_slp_core::trace::SpanRec;
 use std::sync::Arc;
 
@@ -167,28 +167,33 @@ fn latency_histograms_observe_every_request_per_kind_and_tenant() {
         client.count(q, 0).unwrap();
     }
     client.non_empty(q, 0).unwrap();
-    let obs = client
-        .stats_full()
-        .unwrap()
-        .obs
-        .expect("servers always export obs stats");
+    let scrape = client.stats().unwrap();
+    let count = |labels: &str| {
+        metrics::value(
+            &scrape,
+            &format!("spanner_request_duration_us_count{{{labels}}}"),
+        )
+        .unwrap_or_else(|| panic!("no histogram for {labels}:\n{scrape}"))
+    };
+    let kinds: Vec<u64> = Task::KIND_NAMES
+        .iter()
+        .map(|kind| count(&format!("kind=\"{kind}\"")))
+        .collect();
     // KIND_NAMES order: non_emptiness, model_check, count, compute, enumerate.
-    assert_eq!(obs.kinds[0].count, 1, "{obs:?}");
-    assert_eq!(obs.kinds[2].count, 3, "{obs:?}");
+    assert_eq!(kinds, [1, 0, 3, 0, 0], "{scrape}");
     assert_eq!(
-        obs.kinds[1].count + obs.kinds[3].count + obs.kinds[4].count,
-        0
-    );
-    let total: u64 = obs.kinds.iter().map(|h| h.count).sum();
-    let by_tenant: u64 = obs.tenants.iter().map(|(_, h)| h.count).sum();
-    assert_eq!(
-        total, by_tenant,
+        count("tenant=\"0\""),
+        4,
         "every request lands in a tenant histogram"
     );
-    assert_eq!(obs.tenants.len(), 1);
-    assert_eq!(obs.tenants[0].0, 0);
+    let tenant_families = scrape
+        .lines()
+        .filter(|line| line.starts_with("spanner_request_duration_us_count{tenant="))
+        .count();
+    assert_eq!(tenant_families, 1, "{scrape}");
     // p99 of a non-empty histogram is a real bucket bound.
-    assert!(obs.kinds[2].percentile(0.99) >= 1);
+    let p99 = metrics::value(&scrape, "spanner_request_duration_us_p99{kind=\"count\"}");
+    assert!(p99.unwrap() >= 1);
     client.shutdown().unwrap();
     server.join();
 }
