@@ -24,6 +24,21 @@
 use crate::matrices::REntry;
 use spanner_automata::matrix::BoolMatrix;
 
+/// The indices of the set bits of a packed row, in increasing order.
+#[inline]
+pub(crate) fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(word_idx, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let t = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                word_idx * 64 + t
+            })
+        })
+    })
+}
+
 /// A `q × q` three-valued matrix packed into two Boolean bitplanes.
 ///
 /// Invariants (maintained by every constructor and mutator):

@@ -584,6 +584,14 @@ mod tests {
         // per-entry estimate: every matrix reports its own plane bytes.
         let plane_sum: usize = pre.r.iter().map(|m| m.heap_bytes()).sum();
         assert!(probe >= plane_sum);
+        // The per-pair memos are charged before any request fills them:
+        // filling them leaves the entry's weight unchanged.
+        assert!(probe >= packed_floor + pre.unmarked_rows_bytes());
+        assert_eq!(crate::count::count_from_matrices(&pre), 16);
+        let mut tuple = spanner::SpanTuple::empty(1);
+        tuple.set(spanner::Variable(0), spanner::Span::new(1, 3).unwrap());
+        assert!(crate::model_check::check_on_matrices(&pre, &tuple).unwrap());
+        assert_eq!(pre.approx_bytes(), probe);
         // Eviction respects the packed sizes: a budget for two packed
         // entries holds two, and the third displaces the LRU entry.
         let cache = MatrixCache::new(Some(probe * 2));

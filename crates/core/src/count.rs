@@ -17,9 +17,17 @@
 //! document with 2⁴⁰ symbols is obtained in microseconds.  Counts are
 //! returned as `u128` (they can be astronomically large: up to
 //! `(d²/2 + 2)^|X|`).
+//!
+//! The count is a pure function of the pair's Lemma 6.5 matrices, so it is
+//! memoised on them: the first request for a pair runs the pass, every
+//! later one (for as long as the matrices stay cached) reads the memo.
+//! The pass only visits the `(i, k, j)` triples the `nonbot` bitplanes
+//! admit — `cnt_B[i,k]` is non-zero exactly when `R_B[i,k] ≠ ⊥` — over
+//! one `n·q²` table cut into a few fixed-size slabs.
 
+use crate::bitmat::set_bits;
 use crate::error::EvalError;
-use crate::matrices::{Preprocessed, REntry};
+use crate::matrices::Preprocessed;
 use crate::prepared::PreparedEvaluation;
 use slp::NormalFormSlp;
 use spanner::SpannerAutomaton;
@@ -50,47 +58,67 @@ pub fn count_from_prepared(prepared: &PreparedEvaluation) -> u128 {
 /// (query, document) pair — the engine-facing entry point.  The matrices
 /// must have been built from a deterministic automaton for the count to be
 /// duplicate-free.
+///
+/// The first call on a [`Preprocessed`] runs the `O(size(S)·q³)` pass and
+/// memoises its result; later calls (from any thread) return the memo.
 pub fn count_from_matrices(pre: &Preprocessed) -> u128 {
+    *pre.memo().count.get_or_init(|| count_pass(pre))
+}
+
+/// Bytes per slab of the count pass's table.  The table lives only until
+/// the count is memoised, so it is cut into slabs below the allocator's
+/// default mmap threshold (128 KiB in glibc): a single multi-megabyte
+/// buffer would be mmapped, and freeing it raises that threshold for the
+/// rest of the process, which then keeps unrelated large buffers on the
+/// heap and grows the resident set.
+const SLAB_BYTES: usize = 64 << 10;
+
+/// The bottom-up counting pass: the table of non-terminal `A` holds
+/// `|M_A[i, j]|` at `i·q + j`; consecutive non-terminals share a slab.
+fn count_pass(pre: &Preprocessed) -> u128 {
     let q = pre.q;
+    let qq = q * q;
     let n = pre.children.len();
-    // cnt[a][i*q + j] = |M_A[i, j]|, computed bottom-up for every entry
-    // (an O(size(S)·q³) pass, mirroring the R_A computation of Lemma 6.5).
-    let mut cnt: Vec<Vec<u128>> = vec![Vec::new(); n];
+    let per_slab = (SLAB_BYTES / (qq * std::mem::size_of::<u128>())).max(1);
+    let mut slabs: Vec<Vec<u128>> = (0..n)
+        .step_by(per_slab)
+        .map(|first| vec![0u128; (n - first).min(per_slab) * qq])
+        .collect();
+    // Non-terminal `a`'s table: slab `a / per_slab`, from `a % per_slab · q²`.
+    let locate = |a: usize| (a / per_slab, a % per_slab * qq);
+    let mut table = vec![0u128; qq];
     for &a in &pre.bottom_up {
-        let mut table = vec![0u128; q * q];
-        match pre.children[a as usize] {
+        let a = a as usize;
+        table.fill(0);
+        match pre.children[a] {
             None => {
-                for i in 0..q {
-                    for j in 0..q {
-                        table[i * q + j] = pre.leaf_set(a, i, j).len() as u128;
-                    }
+                for (idx, cell) in table.iter_mut().enumerate() {
+                    *cell = pre.leaf_set(a as u32, idx / q, idx % q).len() as u128;
                 }
             }
             Some((b, c)) => {
-                let cb = &cnt[b as usize];
-                let cc = &cnt[c as usize];
+                let (b, c) = (b as usize, c as usize);
+                let (nonbot_b, nonbot_c) = (pre.r[b].nonbot_plane(), pre.r[c].nonbot_plane());
+                let ((slab_b, at_b), (slab_c, at_c)) = (locate(b), locate(c));
+                let cnt_b = &slabs[slab_b][at_b..at_b + qq];
+                let cnt_c = &slabs[slab_c][at_c..at_c + qq];
                 for i in 0..q {
-                    for j in 0..q {
-                        if pre.r_entry(a, i, j) == REntry::Bot {
-                            continue;
+                    let row = &mut table[i * q..][..q];
+                    for k in set_bits(nonbot_b.row_words(i)) {
+                        let left = cnt_b[i * q + k];
+                        let right = &cnt_c[k * q..][..q];
+                        for j in set_bits(nonbot_c.row_words(k)) {
+                            row[j] += left * right[j];
                         }
-                        let mut total = 0u128;
-                        for k in 0..q {
-                            let left = cb[i * q + k];
-                            if left == 0 {
-                                continue;
-                            }
-                            let right = cc[k * q + j];
-                            total += left * right;
-                        }
-                        table[i * q + j] = total;
                     }
                 }
             }
         }
-        cnt[a as usize] = table;
+        let (slab, at) = locate(a);
+        slabs[slab][at..at + qq].copy_from_slice(&table);
     }
-    let root = &cnt[pre.start_nt as usize];
+    let (slab, at) = locate(pre.start_nt as usize);
+    let root = &slabs[slab][at..at + qq];
     pre.reachable_accepting()
         .into_iter()
         .map(|j| root[pre.nfa_start * q + j])
@@ -138,6 +166,21 @@ mod tests {
         let m = regex::compile_deterministic(".*x{a}.*", b"a").unwrap();
         let slp = families::power_of_two_unary(b'a', 40);
         assert_eq!(count_results(&m, &slp).unwrap(), 1u128 << 40);
+    }
+
+    #[test]
+    fn the_count_is_memoised_on_the_matrices() {
+        let m = regex::compile_deterministic(".*x{ab}.*", b"ab").unwrap();
+        let prepared = PreparedEvaluation::new(&m, &families::power_word(b"ab", 1000)).unwrap();
+        let pre = &prepared.pre;
+        assert_eq!(
+            pre.memo().count.get().copied(),
+            None,
+            "the build runs no count"
+        );
+        assert_eq!(count_from_matrices(pre), 1000);
+        assert_eq!(pre.memo().count.get().copied(), Some(1000));
+        assert_eq!(count_from_matrices(pre), 1000);
     }
 
     #[test]

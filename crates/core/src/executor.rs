@@ -30,8 +30,10 @@
 //! exactly what [`LocalExecutor`] would produce for the same job (the
 //! summaries are deterministic pure functions of the block and the
 //! automaton), and `rows.len()` must equal the block's rule count.  The
-//! gather phase validates the length and panics on a short answer rather
-//! than assembling corrupt matrices.
+//! gather phase validates the shape of every outcome and reruns a
+//! malformed one in-process, counting it in
+//! [`ShardBuildStats::fallbacks`](crate::matrices::ShardBuildStats::fallbacks),
+//! rather than assembling corrupt matrices.
 
 use crate::matrices::{block_pass, RMatrix};
 use crate::prepared::EByte;

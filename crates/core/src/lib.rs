@@ -12,7 +12,7 @@
 //! | task | entry point | data complexity | paper |
 //! |---|---|---|---|
 //! | non-emptiness `⟦M⟧(D) ≠ ∅` | [`nonemptiness::is_non_empty`] | `O(s)` | Thm 5.1(1) |
-//! | model checking `t ∈ ⟦M⟧(D)` | [`model_check::check`] | `O(s)` | Thm 5.1(2) |
+//! | model checking `t ∈ ⟦M⟧(D)` | [`model_check::check`]; [`model_check::check_on_matrices`] on prepared matrices | `O(s)`; `O(depth(S) · |X|)` on prepared matrices | Thm 5.1(2) |
 //! | computing `⟦M⟧(D)` | [`compute::compute_all`] | `O(s · r)` | Thm 7.1 |
 //! | enumerating `⟦M⟧(D)` | [`enumerate::Enumerator`] | `O(s)` preprocessing, `O(depth(S) · |X|)` delay | Thm 8.10 |
 //! | counting `|⟦M⟧(D)|` | [`count::count_results`] | `O(s)` | extension (see module docs) |

@@ -27,6 +27,7 @@ use slp::{NfRule, NonTerminal, NormalFormSlp, ShardLayout, Terminal};
 use spanner::{MarkedSymbol, MarkerSet, PartialMarkerSet};
 use spanner_automata::nfa::{Label, Nfa};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// The three-valued summary of `M_A[i,j]` (Definition 6.4).
@@ -69,7 +70,8 @@ pub struct ShardBuildStats {
     /// merged by three-valued matrix products).
     pub merge: Duration,
     /// Number of shard passes a non-local executor could not complete and
-    /// handed to the in-process fallback (always `0` for
+    /// handed to the in-process fallback, plus outcomes the gather found
+    /// malformed and redid in-process (always `0` for
     /// [`crate::executor::LocalExecutor`] builds).  Shards that reused a
     /// deduplicated outcome inherit its fallback flag, so this stays a
     /// per-shard count.
@@ -109,6 +111,10 @@ impl ShardBuildStats {
 }
 
 /// Preprocessed evaluation data (Lemma 6.5) plus grammar metadata.
+///
+/// Equality compares the matrices and metadata only; the lazily filled
+/// per-pair memos (the result count and the model check's unmarked rows)
+/// take no part in it.
 #[derive(Debug, PartialEq, Eq)]
 pub struct Preprocessed {
     /// Number of automaton states `q`.
@@ -138,7 +144,31 @@ pub struct Preprocessed {
     /// The per-shard composition plan of a scatter-gather build
     /// ([`Preprocessed::build_sharded`]); empty for monolithic builds.
     pub shards: Vec<ShardInfo>,
+    /// Answers derived from the matrices on first use; no build fills them.
+    memo: PairMemo,
 }
+
+/// Pure functions of a pair's matrices, filled by the first request that
+/// needs them and shared by every later one: the result count
+/// ([`crate::count`]) and the unmarked-reachability rows of the spine-walk
+/// model check ([`crate::model_check`]).  Always equal, so two
+/// [`Preprocessed`] compare by their matrices alone.
+#[derive(Debug, Default)]
+pub(crate) struct PairMemo {
+    /// `|⟦M⟧(D)|`.
+    pub(crate) count: OnceLock<u128>,
+    /// `U_A[i, j] = (∅ ∈ M_A[i, j])`, row `i` of non-terminal `A` at word
+    /// offset `(A·q + i)·⌈q/64⌉`.
+    pub(crate) unmarked: OnceLock<Vec<u64>>,
+}
+
+impl PartialEq for PairMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for PairMemo {}
 
 /// `P_i = {(ℓ, Y) : ℓ --Y--> i with Y a marker set}` for every state `i`
 /// (Lemma 6.5 proof).
@@ -550,14 +580,22 @@ impl Preprocessed {
         let mut spans: Vec<SpanRec> = Vec::new();
         for ((range, block), mut outcome) in layout.ranges.iter().zip(&blocks).zip(outcomes) {
             spans.append(&mut outcome.spans);
-            assert_eq!(
-                outcome.rows.len(),
-                range.len(),
-                "executor '{}' returned {} rows for a {}-rule block",
-                executor.name(),
-                outcome.rows.len(),
-                range.len(),
-            );
+            // An outcome that breaks the executor contract (wrong row
+            // count, wrong dimension, short leaf tables) is redone by the
+            // local pass and counted as a fallback: a misbehaving backend
+            // costs time, never the process or the answer.
+            let malformed = outcome.rows.len() != range.len()
+                || outcome.rows.iter().any(|row| row.q() != q)
+                || outcome
+                    .leaf_tables
+                    .as_ref()
+                    .is_some_and(|t| t.len() != range.len());
+            if malformed {
+                let (rows, tables) = block_pass(nfa, block);
+                outcome.rows = rows;
+                outcome.leaf_tables = Some(tables);
+                outcome.fallback = true;
+            }
             let tables = outcome.leaf_tables.unwrap_or_else(|| {
                 block
                     .rules()
@@ -669,6 +707,7 @@ impl Preprocessed {
             r,
             leaf_tables,
             shards: Vec::new(),
+            memo: PairMemo::default(),
         }
     }
 
@@ -685,6 +724,17 @@ impl Preprocessed {
             .as_ref()
             .expect("leaf_set is only called for leaf non-terminals")[i * self.q + j]
             .as_slice()
+    }
+
+    /// The lazily filled per-pair memos.
+    pub(crate) fn memo(&self) -> &PairMemo {
+        &self.memo
+    }
+
+    /// Size in bytes of the unmarked-reachability rows once filled: one
+    /// `⌈q/64⌉`-word row per state per non-terminal.
+    pub(crate) fn unmarked_rows_bytes(&self) -> usize {
+        self.children.len() * self.q * self.q.div_ceil(64) * std::mem::size_of::<u64>()
     }
 
     /// `true` if `a` is a leaf non-terminal.
@@ -718,7 +768,9 @@ impl Preprocessed {
     /// the struct itself plus every owned buffer (the bit-packed `R_A`
     /// bitplanes including their row padding words, the leaf tables down
     /// to each partial marker set's entry list, and the grammar metadata
-    /// vectors).
+    /// vectors).  The per-pair memos are charged at their full size whether
+    /// or not a request has filled them yet, so a cache entry's weight
+    /// never changes while it is resident.
     ///
     /// This is the admission weight used by the engine's byte-budgeted
     /// matrix caches.  It is an estimate of the heap footprint (allocator
@@ -752,6 +804,9 @@ impl Preprocessed {
         // live as long as the matrices, so the (global) budget accounting
         // must charge for them too.
         total += self.shards.capacity() * size_of::<ShardInfo>();
+        // The count memo lives inline in the struct; the unmarked rows are
+        // one flat buffer of fixed size.
+        total += self.unmarked_rows_bytes();
         total
     }
 
@@ -932,6 +987,55 @@ mod tests {
         let mut stripped = pre;
         stripped.shards = Vec::new();
         assert_eq!(stripped.approx_bytes(), with_plan - plan_bytes);
+    }
+
+    #[test]
+    fn gather_redoes_a_malformed_shard_outcome_locally() {
+        use crate::count::count_from_matrices;
+        use crate::engine::{PreparedDocument, PreparedQuery};
+        use crate::executor::{LocalExecutor, ShardExecutor, ShardJob, ShardOutcome};
+        use slp::compress::{Bisection, Compressor};
+        use slp::shard;
+        use spanner::regex;
+
+        /// Breaks the contract on shard 1: one summary row short.
+        #[derive(Debug)]
+        struct DropsARow;
+        impl ShardExecutor for DropsARow {
+            fn execute(&self, job: &ShardJob<'_>) -> ShardOutcome {
+                let mut outcome = LocalExecutor.execute(job);
+                if job.shard_index == 1 {
+                    outcome.rows.pop();
+                    outcome.leaf_tables = None;
+                }
+                outcome
+            }
+        }
+
+        let m = regex::compile(".*x{a+}y{b+}.*", b"ab").unwrap();
+        let query = PreparedQuery::determinized(&m);
+        let doc = Bisection.compress(b"abbabaaabbbabbaabababbbaaabbabab");
+        let (combined, layout) = shard::split(&doc, 4).compose();
+        let ended = combined
+            .map_terminals(EByte::Byte)
+            .append_terminal(EByte::End);
+        let (via_shards, stats) = Preprocessed::build_sharded_with(
+            query.nfa(),
+            &ended,
+            query.num_vars(),
+            &layout,
+            &DropsARow,
+        );
+        assert_eq!(stats.deduped, 0, "every shard block is distinct");
+        assert_eq!(stats.fallbacks, 1);
+        let serial = Preprocessed::build_serial(query.nfa(), &ended, query.num_vars());
+        assert_eq!(via_shards.r, serial.r);
+        assert_eq!(via_shards.leaf_tables, serial.leaf_tables);
+        let monolithic = PreparedDocument::new(&doc).matrices(&query);
+        assert_eq!(
+            count_from_matrices(&via_shards),
+            count_from_matrices(&monolithic)
+        );
     }
 
     #[test]

@@ -7,21 +7,32 @@
 //! position is copied (adding `O(depth(S))` fresh non-terminals) and a new
 //! leaf for the marker-set symbol is inserted in front of the position's
 //! leaf.  Then `t ∈ ⟦M⟧(D)` iff `D(S') ∈ L(M)` (Proposition 3.3), which is
-//! checked with Lemma 4.5.
+//! checked with Lemma 4.5 ([`check`]).
+//!
+//! Only the `|X|·depth(S)` part of that bound depends on the tuple.  When a
+//! pair's Lemma 6.5 matrices are already in hand, [`check_on_matrices`]
+//! pays only that part: the tuple-independent Boolean matrices
+//! `U_A[i, j] = (∅ ∈ M_A[i, j])` (the unmarked readings of `D(A)`, i.e.
+//! Lemma 4.5's matrices) are built once per pair in one bottom-up pass and
+//! memoised on the [`Preprocessed`], and a check walks the ended document
+//! `D·#` from the start symbol carrying the set of reachable states: a
+//! subtree without markers is one row-vector product with its `U_A`, and
+//! only the at most `2·|X|` marked root-to-leaf paths are descended — the
+//! spine, `O(|X|·depth(S))` non-terminals at `O(q²/64)` each.
+//!
+//! The splice path stays: it is the only one that needs no matrices (a
+//! model check never builds or evicts a pair's matrices just for itself),
+//! and it is the reference the spine walk is tested against.
 
+use crate::bitmat::set_bits;
 use crate::error::EvalError;
-use slp::{NfRule, NonTerminal, NormalFormSlp, Terminal};
-use spanner::{MarkedSymbol, MarkerSet, SpanTuple, SpannerAutomaton};
+use crate::matrices::Preprocessed;
+use slp::{NfRule, NonTerminal, NormalFormSlp, SlpError, Terminal};
+use spanner::{MarkedSymbol, MarkerSet, PartialMarkerSet, SpanTuple, SpannerAutomaton};
 use spanner_automata::membership::compressed_membership;
 
-/// Builds an SLP for the marked word `m(D, t)` over `Σ ∪ P(Γ_X)` from an SLP
-/// for `D`, adding `O(|X| · depth(S))` non-terminals (the construction in
-/// the proof of Theorem 5.1(2)).
-pub fn marked_document_slp(
-    document: &NormalFormSlp<u8>,
-    tuple: &SpanTuple,
-) -> Result<NormalFormSlp<MarkedSymbol<u8>>, EvalError> {
-    let d = document.document_len();
+/// The error for a tuple that does not fit a document of length `d`.
+fn check_bounds(tuple: &SpanTuple, d: u64) -> Result<(), EvalError> {
     tuple
         .check_compatible(d)
         .map_err(|_| EvalError::TupleOutOfBounds {
@@ -33,7 +44,17 @@ pub fn marked_document_slp(
                 .max()
                 .unwrap_or(0),
             document_len: d,
-        })?;
+        })
+}
+
+/// Builds an SLP for the marked word `m(D, t)` over `Σ ∪ P(Γ_X)` from an SLP
+/// for `D`, adding `O(|X| · depth(S))` non-terminals (the construction in
+/// the proof of Theorem 5.1(2)).
+pub fn marked_document_slp(
+    document: &NormalFormSlp<u8>,
+    tuple: &SpanTuple,
+) -> Result<NormalFormSlp<MarkedSymbol<u8>>, EvalError> {
+    check_bounds(tuple, document.document_len())?;
 
     let mut slp = document.map_terminals(MarkedSymbol::Terminal);
     // Insert marker-set symbols right-to-left so earlier positions are not
@@ -106,6 +127,126 @@ pub fn check(
 ) -> Result<bool, EvalError> {
     let marked = marked_document_slp(document, tuple)?;
     Ok(compressed_membership(automaton.nfa(), &marked))
+}
+
+/// Theorem 5.1(2) on a pair's resident matrices: `t ∈ ⟦M⟧(D)` by the
+/// spine walk of the module docs, in `O(|X|·depth(S)·q²/64)` once the
+/// pair's unmarked rows exist (the first check on a pair builds them in
+/// `O(size(S)·q³/64)`).
+///
+/// `pre` must be built over the ended document `D·#` (as every
+/// [`Preprocessed`] of a [`crate::PreparedDocument`] or a
+/// [`crate::prepared::PreparedEvaluation`] is); monolithic and sharded
+/// builds alike.  Agrees with [`check`] on the same query and document,
+/// including the [`EvalError::TupleOutOfBounds`] error.
+pub fn check_on_matrices(pre: &Preprocessed, tuple: &SpanTuple) -> Result<bool, EvalError> {
+    spine_walk(pre, tuple).map(|(verdict, _)| verdict)
+}
+
+/// The spine walk behind [`check_on_matrices`]; also returns how many
+/// non-terminals it descended into (each one on a marked root-to-leaf path).
+fn spine_walk(pre: &Preprocessed, tuple: &SpanTuple) -> Result<(bool, usize), EvalError> {
+    let q = pre.q;
+    let w = q.div_ceil(64);
+    let d = pre.lengths[pre.start_nt as usize] - 1;
+    check_bounds(tuple, d)?;
+    let markers: Vec<(u64, MarkerSet)> = tuple.marker_set().entries().collect();
+    if markers.first().is_some_and(|&(p, _)| p == 0) {
+        // A hand-built span starting at 0; the splice path cannot place it
+        // either.
+        return Err(EvalError::Slp(SlpError::PositionOutOfBounds {
+            position: 0,
+            document_len: d,
+        }));
+    }
+    let unmarked = pre.memo().unmarked.get_or_init(|| unmarked_rows(pre));
+
+    let mut states = vec![0u64; w];
+    states[pre.nfa_start / 64] |= 1 << (pre.nfa_start % 64);
+    let mut next = vec![0u64; w];
+    let mut descended = 0usize;
+    // Left-to-right over (non-terminal, offset of its first position,
+    // its slice of the position-sorted markers).
+    let mut stack = vec![(pre.start_nt, 0u64, &markers[..])];
+    while let Some((a, offset, marks)) = stack.pop() {
+        next.fill(0);
+        if marks.is_empty() {
+            // Unmarked subtree: states · U_A.
+            let rows = &unmarked[a as usize * q * w..][..q * w];
+            for l in set_bits(&states) {
+                for (out, &word) in next.iter_mut().zip(&rows[l * w..][..w]) {
+                    *out |= word;
+                }
+            }
+        } else {
+            descended += 1;
+            match pre.children[a as usize] {
+                Some((b, c)) => {
+                    let split = offset + pre.lengths[b as usize];
+                    let cut = marks.partition_point(|&(p, _)| p <= split);
+                    stack.push((c, split, &marks[cut..]));
+                    stack.push((b, offset, &marks[..cut]));
+                    continue;
+                }
+                None => {
+                    // A marked leaf: its only position carries the set Y.
+                    let read = PartialMarkerSet::at_position_one(marks[0].1);
+                    for l in set_bits(&states) {
+                        for t in 0..q {
+                            if pre.leaf_set(a, l, t).binary_search(&read).is_ok() {
+                                next[t / 64] |= 1 << (t % 64);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        std::mem::swap(&mut states, &mut next);
+    }
+    let accepted = pre
+        .nfa_accepting
+        .iter()
+        .any(|&f| (states[f / 64] >> (f % 64)) & 1 == 1);
+    Ok((accepted, descended))
+}
+
+/// The unmarked-reachability rows of every non-terminal, one bottom-up
+/// pass: a leaf's `U[i, j]` is whether its table cell holds `∅`, an inner
+/// rule's `U_A = U_B · U_C`.  Layout as in [`Preprocessed::unmarked_rows_bytes`].
+fn unmarked_rows(pre: &Preprocessed) -> Vec<u64> {
+    let q = pre.q;
+    let w = q.div_ceil(64);
+    let stride = q * w;
+    let mut u = vec![0u64; pre.children.len() * stride];
+    let mut block = vec![0u64; stride];
+    for &a in &pre.bottom_up {
+        block.fill(0);
+        match pre.children[a as usize] {
+            None => {
+                for i in 0..q {
+                    for j in 0..q {
+                        if pre.leaf_set(a, i, j).iter().any(|set| set.is_empty()) {
+                            block[i * w + j / 64] |= 1 << (j % 64);
+                        }
+                    }
+                }
+            }
+            Some((b, c)) => {
+                let u_b = &u[b as usize * stride..][..stride];
+                let u_c = &u[c as usize * stride..][..stride];
+                for i in 0..q {
+                    let row = &mut block[i * w..][..w];
+                    for k in set_bits(&u_b[i * w..][..w]) {
+                        for (out, &word) in row.iter_mut().zip(&u_c[k * w..][..w]) {
+                            *out |= word;
+                        }
+                    }
+                }
+            }
+        }
+        u[a as usize * stride..][..stride].copy_from_slice(&block);
+    }
+    u
 }
 
 #[cfg(test)]
@@ -230,6 +371,109 @@ mod tests {
             check(&m, &slp, &t),
             Err(EvalError::TupleOutOfBounds { .. })
         ));
+        let prepared = crate::prepared::PreparedEvaluation::new(&m, &slp).unwrap();
+        assert_eq!(check_on_matrices(&prepared.pre, &t), check(&m, &slp, &t));
+        // A hand-built span starting at 0 is an error on both paths, too.
+        let mut t = SpanTuple::empty(2);
+        t.set(Variable(0), Span { start: 0, end: 1 });
+        assert!(matches!(check(&m, &slp, &t), Err(EvalError::Slp(_))));
+        assert!(matches!(
+            check_on_matrices(&prepared.pre, &t),
+            Err(EvalError::Slp(_))
+        ));
+    }
+
+    #[test]
+    fn spine_walk_descends_only_the_marked_paths() {
+        use crate::engine::{PreparedDocument, PreparedQuery};
+        // D = (ab)^(2^30): every check descends at most the 2|X| marked
+        // root-to-leaf paths of the ended grammar and agrees with the
+        // splice path.
+        let m = spanner::regex::compile(".*x{ab}.*", b"ab").unwrap();
+        let query = PreparedQuery::determinized(&m);
+        let slp = families::power_word(b"ab", 1 << 30);
+        let pre = PreparedDocument::new(&slp).matrices(&query);
+        let depth = pre.depths[pre.start_nt as usize] as usize;
+        let d = slp.document_len();
+        for (start, end, member) in [
+            (1, 3, true),
+            (2, 4, false),
+            (12345, 12347, true),
+            (d - 1, d + 1, true),
+            (d - 1, d, false),
+            (d + 1, d + 1, false),
+        ] {
+            let mut t = SpanTuple::empty(1);
+            t.set(Variable(0), Span::new(start, end).unwrap());
+            let (verdict, descended) = spine_walk(&pre, &t).unwrap();
+            assert_eq!(verdict, member, "{t:?}");
+            assert_eq!(verdict, check(query.automaton(), &slp, &t).unwrap());
+            assert!(
+                descended <= 2 * (depth + 1),
+                "{descended} > 2·({depth} + 1)"
+            );
+        }
+
+        // A grammar far larger than it is deep: the walk's work follows
+        // depth(S), not size(S).
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let text: Vec<u8> = (0..4096)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                if state & 1 == 0 {
+                    b'a'
+                } else {
+                    b'b'
+                }
+            })
+            .collect();
+        let m = spanner::regex::compile(".*x{a+}y{b+}.*", b"ab").unwrap();
+        let query = PreparedQuery::determinized(&m);
+        let slp = Bisection.compress(&text);
+        let pre = PreparedDocument::new(&slp).matrices(&query);
+        let depth = pre.depths[pre.start_nt as usize] as usize;
+        let bound = 2 * 2 * (depth + 1);
+        assert!(
+            bound * 10 < pre.children.len(),
+            "the grammar is not shallow"
+        );
+        for start in [1u64, 777, 2048, 4000] {
+            let mut t = SpanTuple::empty(2);
+            t.set(Variable(0), Span::new(start, start + 2).unwrap());
+            t.set(Variable(1), Span::new(start + 2, start + 5).unwrap());
+            let (verdict, descended) = spine_walk(&pre, &t).unwrap();
+            assert_eq!(verdict, check(query.automaton(), &slp, &t).unwrap());
+            assert!(descended <= bound, "{descended} > {bound}");
+        }
+    }
+
+    #[test]
+    fn unmarked_rows_are_built_on_first_use_only() {
+        let m = figure_2_spanner();
+        let slp = Bisection.compress(b"aabccaabaa");
+        let prepared = crate::prepared::PreparedEvaluation::new(&m, &slp).unwrap();
+        let pre = &prepared.pre;
+        assert!(
+            pre.memo().unmarked.get().is_none(),
+            "the build fills no memo"
+        );
+        let mut t = SpanTuple::empty(2);
+        t.set(Variable(1), Span::new(4, 6).unwrap());
+        assert!(check_on_matrices(pre, &t).unwrap());
+        let rows = pre
+            .memo()
+            .unmarked
+            .get()
+            .expect("filled by the first check");
+        assert_eq!(rows.len() * 8, pre.unmarked_rows_bytes());
+        let other = SpanTuple::empty(2);
+        assert_eq!(
+            check_on_matrices(pre, &other).unwrap(),
+            check(&m, &slp, &other).unwrap()
+        );
+        assert!(std::ptr::eq(rows, pre.memo().unmarked.get().unwrap()));
     }
 
     #[test]

@@ -21,6 +21,12 @@
 //!   matrix build time, result count).  Asking for `Count` never
 //!   materialises tuples; `Enumerate { skip, limit }` streams just the
 //!   window it needs.
+//! * **Warm point lookups off the `O(size(S))` path.**  A pair's count is
+//!   memoised on its cached matrices, so only the first `Count` runs the
+//!   counting pass.  `ModelCheck` never *builds* matrices: on a resident
+//!   pair it walks only the tuple's marked root-to-leaf paths over them
+//!   ([`model_check::check_on_matrices`]); otherwise it splices the
+//!   original SLP ([`model_check::check`]) and leaves the cache alone.
 //! * **Scatter-gather over shards.**  [`Service::add_document_sharded`]
 //!   registers a document split at the start rule into `k` balanced
 //!   sub-grammars; its matrix builds run one independent pass per shard and
@@ -246,8 +252,10 @@ impl TaskOutcome {
 
 /// Per-request statistics carried on every [`TaskResponse`].
 ///
-/// [`Task::ModelCheck`] never consults the matrix cache (Theorem 5.1(2)
-/// works on the original automaton × SLP), so its responses report
+/// [`Task::ModelCheck`] never builds matrices and is not a cache lookup:
+/// it answers from the pair's matrices when they are already resident
+/// (peeking without bumping LRU recency) and from the original automaton ×
+/// SLP otherwise (Theorem 5.1(2)).  Either way its responses report
 /// `cache_hit: false` with zero build time and zero matrix bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestStats {
@@ -307,7 +315,8 @@ impl TaskKindCounts {
 /// Aggregate service counters, a snapshot of [`Service::stats`].
 ///
 /// `cache_hits + cache_misses` need not equal `requests`:
-/// [`Task::ModelCheck`] requests skip the cache entirely, while the
+/// [`Task::ModelCheck`] requests count as neither (they only peek at
+/// resident matrices, see [`RequestStats`]), while the
 /// duplicate pre-build of [`Service::run_batch`] consults it without
 /// counting as requests.
 ///
@@ -1201,15 +1210,19 @@ impl Service {
             .try_document(request.doc)
             .ok_or(EvalError::DocumentRemoved)?;
 
-        // Model checking runs on the original automaton × SLP
-        // (Theorem 5.1(2)) and never reads the pair matrices — don't build
-        // them (or evict a hot pair) for it.  Its stats report zero cache
-        // traffic.
+        // Model checking never builds the pair matrices (or evicts a hot
+        // pair) for itself: on resident matrices it walks only the marked
+        // spine, otherwise it splices the original SLP (Theorem 5.1(2)).
+        // Either way its stats report zero cache traffic, and the peek
+        // leaves LRU recency alone.
         if let Task::ModelCheck(tuple) = &request.task {
             self.counters.commit(Some(&request.task), None);
             let exec_from = tracer.map(|t| t.now_us());
             let start = Instant::now();
-            let verdict = model_check::check(query.automaton(), document.original(), tuple)?;
+            let verdict = match document.cached_matrices(&query) {
+                Some(pre) => model_check::check_on_matrices(&pre, tuple)?,
+                None => model_check::check(query.automaton(), document.original(), tuple)?,
+            };
             let task_time = start.elapsed();
             if let Some(t) = tracer {
                 t.record(
@@ -1346,7 +1359,7 @@ impl Service {
             let mut occurrences: std::collections::HashMap<(usize, usize), usize> =
                 std::collections::HashMap::new();
             for request in requests {
-                // Model checking never touches the matrices — see `run`.
+                // Model checking never builds matrices — see `run`.
                 if !matches!(request.task, Task::ModelCheck(_)) {
                     *occurrences
                         .entry((request.query.index(), request.doc.index()))
@@ -2019,6 +2032,87 @@ mod tests {
             0,
             "model checking must not populate the cache"
         );
+    }
+
+    #[test]
+    fn warm_counts_and_model_checks_answer_from_the_resident_pair() {
+        let service = Service::new();
+        let q = service.add_query(&figure_2_spanner());
+        let d = service.add_document(&Bisection.compress(b"aabccaabaa"));
+        let run = |task| {
+            service
+                .run(&TaskRequest {
+                    query: q,
+                    doc: d,
+                    task,
+                })
+                .unwrap()
+        };
+        let first = run(Task::Count);
+        let pre = service
+            .document(d)
+            .cached_matrices(&service.query(q))
+            .expect("the count made the pair resident");
+        assert_eq!(pre.memo().count.get().copied(), first.outcome.as_count());
+        let second = run(Task::Count);
+        assert!(second.stats.cache_hit);
+        assert_eq!(second.outcome, first.outcome);
+
+        // A model check on the resident pair walks its matrices: the
+        // unmarked rows get filled, and no cache traffic is counted.
+        let before = service.stats();
+        assert!(pre.memo().unmarked.get().is_none());
+        let mut tuple = SpanTuple::empty(2);
+        tuple.set(spanner::Variable(1), spanner::Span::new(4, 6).unwrap());
+        let checked = run(Task::ModelCheck(tuple));
+        assert_eq!(checked.outcome.as_bool(), Some(true));
+        assert!(!checked.stats.cache_hit);
+        assert_eq!(checked.stats.matrix_bytes, 0);
+        assert!(pre.memo().unmarked.get().is_some());
+        let after = service.stats();
+        assert_eq!(
+            (after.cache_hits, after.cache_misses),
+            (before.cache_hits, before.cache_misses)
+        );
+    }
+
+    #[test]
+    fn racing_first_counts_on_one_pair_agree() {
+        let m = regex::compile(".*x{a+}y{b+}.*", b"ab").unwrap();
+        let slp = Bisection.compress(&b"aabbbabaabbbbaaab".repeat(40));
+        let expected = SlpSpanner::new(&m, &slp).unwrap().count();
+        let service = Service::new();
+        let q = service.add_query(&m);
+        let d = service.add_document(&slp);
+        let request = |task| TaskRequest {
+            query: q,
+            doc: d,
+            task,
+        };
+        // Resident first, so the threads race the count memo itself.
+        service.run(&request(Task::NonEmptiness)).unwrap();
+        let barrier = std::sync::Barrier::new(8);
+        let counts: Vec<Option<u128>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        service
+                            .run(&request(Task::Count))
+                            .unwrap()
+                            .outcome
+                            .as_count()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(counts, vec![Some(expected); 8]);
+        let pre = service
+            .document(d)
+            .cached_matrices(&service.query(q))
+            .unwrap();
+        assert_eq!(pre.memo().count.get().copied(), Some(expected));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use slp_spanner::baseline;
 use slp_spanner::eval::{compute, enumerate::Enumerator, model_check, nonemptiness};
 use slp_spanner::slp::balance::rebalance;
 use slp_spanner::slp::compress::{Bisection, Chain, Compressor, Lz78, RePair};
-use slp_spanner::spanner::{reference, regex, SpanTuple, SpannerAutomaton};
+use slp_spanner::spanner::{reference, regex, Span, SpanTuple, SpannerAutomaton, Variable};
 use std::collections::BTreeSet;
 
 /// The query pool used by the random tests (all deterministic, ≤ 2 vars).
@@ -161,18 +161,29 @@ fn service_tasks_agree_with_the_reference() {
     }
     // The pool registered one document per case and five queries total.
     // Each case's first request builds its pair's matrices (one miss); the
-    // Count/Compute/Enumerate follow-ups hit them (model checks bypass the
-    // matrix cache entirely and count as neither).
+    // Count/Compute/Enumerate follow-ups hit them (model checks only peek
+    // at resident matrices and count as neither).
     let stats = service.stats();
     assert_eq!(service.num_documents(), 16);
     assert!(stats.cache_hits > stats.cache_misses);
 }
 
 /// Model checking agrees with membership of the tuple in the reference
-/// result set, for result tuples and for perturbed non-results alike.
+/// result set, for result tuples and for perturbed non-results alike — on
+/// the splice path and through `Service` on both of its paths (see
+/// `service_paths_agree`), for determinised and non-deterministic queries.
 #[test]
 fn model_checking_agrees_pointwise() {
+    use slp_spanner::eval::{QueryId, Service};
     let queries = query_pool();
+    let nondeterministic = nondeterministic_pool();
+    let det = Service::new();
+    let nondet = Service::builder().determinize(false).build();
+    let det_ids: Vec<QueryId> = queries.iter().map(|m| det.add_query(m)).collect();
+    let nondet_ids: Vec<QueryId> = nondeterministic
+        .iter()
+        .map(|m| nondet.add_query(m))
+        .collect();
     let mut rng = StdRng::seed_from_u64(0x5EED_0002);
     for case in 0..24 {
         let doc = random_doc(&mut rng, b"abc", 11);
@@ -192,18 +203,120 @@ fn model_checking_agrees_pointwise() {
 
         // A candidate single-variable tuple agrees with reference membership.
         let d = doc.len() as u64;
+        let single = |start: u64, end: u64, num_vars: usize| {
+            let mut t = SpanTuple::empty(num_vars);
+            t.set(Variable(0), Span::new(start, end).unwrap());
+            t
+        };
+        let mut candidates: Vec<SpanTuple> = expected.iter().cloned().collect();
         if query.num_vars() >= 1 && start <= d + 1 && start + len <= d + 1 {
-            let mut candidate = SpanTuple::empty(query.num_vars());
-            candidate.set(
-                slp_spanner::spanner::Variable(0),
-                slp_spanner::spanner::Span::new(start, start + len).unwrap(),
-            );
+            let candidate = single(start, start + len, query.num_vars());
             let verdict = model_check::check(query, &slp, &candidate).unwrap();
             assert_eq!(
                 verdict,
                 expected.contains(&candidate),
                 "candidate {candidate:?}, doc {doc:?}"
             );
+            candidates.push(candidate);
+        }
+
+        // Through the service: the same candidates plus tail-spanning
+        // tuples (markers at position d+1) and out-of-bounds ones.
+        let extra = |num_vars: usize| {
+            [(d + 1, d + 1), (start.min(d + 1), d + 1), (1, d + 2)]
+                .map(|(s, e)| single(s, e, num_vars))
+        };
+        candidates.extend(extra(query.num_vars()));
+        service_paths_agree(
+            &det,
+            det_ids[case % queries.len()],
+            query,
+            &slp,
+            &doc,
+            &candidates,
+        );
+
+        let nd_query = &nondeterministic[case % nondeterministic.len()];
+        let mut nd_candidates: Vec<SpanTuple> =
+            reference::evaluate(nd_query, &doc).into_iter().collect();
+        nd_candidates.extend(extra(nd_query.num_vars()));
+        nd_candidates.push(single(start, start + len, nd_query.num_vars()));
+        service_paths_agree(
+            &nondet,
+            nondet_ids[case % nondeterministic.len()],
+            nd_query,
+            &slp,
+            &doc,
+            &nd_candidates,
+        );
+    }
+}
+
+/// Non-deterministic queries (served without determinisation).
+fn nondeterministic_pool() -> Vec<SpannerAutomaton<u8>> {
+    let pool: Vec<SpannerAutomaton<u8>> = [".*x{a.*}.*", ".*x{a+}y{b+}.*", "(a|b|c)*x{(a|b)+c}.*"]
+        .iter()
+        .map(|p| regex::compile(p, b"abc").unwrap())
+        .collect();
+    assert!(pool.iter().any(|m| !m.is_deterministic()));
+    pool
+}
+
+/// Registers `slp` monolithic and sharded with k ∈ {2, 4}, and model-checks
+/// every candidate twice per registration: on the resident pair (the spine
+/// walk over its matrices) and after `clear_cache` (the splice path).  Both
+/// answers equal reference membership; out-of-bounds candidates fail with
+/// the same error on both paths.
+fn service_paths_agree(
+    service: &slp_spanner::eval::Service,
+    q: slp_spanner::eval::QueryId,
+    query: &SpannerAutomaton<u8>,
+    slp: &slp_spanner::slp::NormalFormSlp<u8>,
+    doc: &[u8],
+    candidates: &[SpanTuple],
+) {
+    use slp_spanner::eval::{EvalError, Task, TaskRequest};
+    let expected = reference::evaluate(query, doc);
+    let d = doc.len() as u64;
+    let registrations = [
+        ("monolithic", service.add_document(slp)),
+        ("k=2", service.add_document_sharded(slp, 2)),
+        ("k=4", service.add_document_sharded(slp, 4)),
+    ];
+    for (layout, id) in registrations {
+        let run = |task: Task| {
+            service.run(&TaskRequest {
+                query: q,
+                doc: id,
+                task,
+            })
+        };
+        let check_all = || -> Vec<Result<bool, EvalError>> {
+            candidates
+                .iter()
+                .map(|t| run(Task::ModelCheck(t.clone())).map(|r| r.outcome.as_bool().unwrap()))
+                .collect()
+        };
+        run(Task::NonEmptiness).unwrap();
+        let resident = check_all();
+        assert_eq!(service.document(id).cached_query_count(), 1, "{layout}");
+        service.document(id).clear_cache();
+        let spliced = check_all();
+        assert_eq!(service.document(id).cached_query_count(), 0, "{layout}");
+        for ((t, walk), splice) in candidates.iter().zip(resident).zip(spliced) {
+            assert_eq!(walk, splice, "{layout}: paths differ on {t:?}, doc {doc:?}");
+            if t.check_compatible(d).is_ok() {
+                assert_eq!(
+                    walk,
+                    Ok(expected.contains(t)),
+                    "{layout}: {t:?}, doc {doc:?}"
+                );
+            } else {
+                assert!(
+                    matches!(walk, Err(EvalError::TupleOutOfBounds { .. })),
+                    "{layout}: {t:?} must be out of bounds, doc {doc:?}"
+                );
+            }
         }
     }
 }
