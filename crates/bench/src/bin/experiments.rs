@@ -60,9 +60,6 @@ fn main() {
     if run("e10") {
         e10();
     }
-    if run("e11") {
-        e11();
-    }
     if run("e12") {
         e12();
     }
@@ -571,397 +568,6 @@ fn e10_sharding() {
          cuts shards into equal sub-grammars, so all but one pass is shared; the \
          pseudo-random block document has nothing to share.)\n"
     );
-}
-
-/// E11 — the serving front-end: closed-loop throughput and latency
-/// percentiles over loopback TCP, the wire-level cost of one enumeration
-/// stream, and backpressure under a deliberately tiny admission cap.
-///
-/// Everything below goes through the network stack end-to-end (frame
-/// encode/decode, TCP, admission control), so the numbers are directly
-/// comparable with the in-process service costs of E10 — the difference is
-/// the price of serving.
-fn e11() {
-    use spanner_server::{retry_busy, Client, Server, ServerConfig};
-    use spanner_workloads::traffic::{self, Mix, OpKind};
-    use std::sync::Mutex;
-    use std::time::Instant;
-
-    println!("## E11 — serving front-end: loopback throughput/latency (closed loop)\n");
-
-    // Corpus: two pattern queries over three ab documents of growing size.
-    let patterns = [".*x{ab}.*", ".*x{a+}y{b+}.*"];
-    let texts: Vec<Vec<u8>> = ab_family(&[1 << 10, 1 << 12, 1 << 14])
-        .iter()
-        .map(|case| case.slp.derive())
-        .collect();
-
-    let server = Server::bind("127.0.0.1:0", Service::new(), ServerConfig::default())
-        .expect("bind loopback");
-    let addr = server.local_addr();
-
-    // Register the corpus and pre-compute one model-checkable tuple per
-    // pair, all over the wire.
-    let mut setup = Client::connect(addr).expect("connect");
-    let qids: Vec<u64> = patterns
-        .iter()
-        .map(|p| setup.add_query(p, b"ab").expect("add_query"))
-        .collect();
-    let dids: Vec<u64> = texts
-        .iter()
-        .map(|t| setup.add_doc(t).expect("add_doc").id)
-        .collect();
-    let mut witnesses = Vec::new();
-    for &q in &qids {
-        let mut row = Vec::new();
-        for &d in &dids {
-            let (tuples, _) = setup.compute(q, d, Some(1)).expect("witness tuple");
-            row.push(tuples.into_iter().next());
-        }
-        witnesses.push(row);
-    }
-
-    // Closed loop: 8 client connections, 150 operations each, read-heavy
-    // mix; one warm-up op per pair already ran above (the witness pass).
-    const CLIENTS: usize = 8;
-    const OPS: usize = 150;
-    // Read-heavy, but with every task kind represented so the table below
-    // covers the full suite.
-    let mix = Mix::new([
-        (OpKind::NonEmptiness, 35),
-        (OpKind::Count, 25),
-        (OpKind::ModelCheck, 15),
-        (OpKind::Compute { limit: Some(64) }, 10),
-        (
-            OpKind::Enumerate {
-                skip: 0,
-                limit: Some(10),
-            },
-            15,
-        ),
-    ]);
-    let latencies: Mutex<Vec<(&'static str, u64)>> = Mutex::new(Vec::new());
-    let busy_retries: Mutex<u64> = Mutex::new(0);
-    let wall = Instant::now();
-    std::thread::scope(|scope| {
-        for t in 0..CLIENTS {
-            let schedule =
-                traffic::closed_loop_schedule(qids.len(), dids.len(), &mix, OPS, 0xE11 + t as u64);
-            let (latencies, busy_retries) = (&latencies, &busy_retries);
-            let (qids, dids, witnesses) = (&qids, &dids, &witnesses);
-            scope.spawn(move || {
-                let mut client = Client::connect(addr).expect("connect");
-                let mut local = Vec::with_capacity(OPS);
-                let mut retries = 0u64;
-                for op in schedule {
-                    let (q, d) = (qids[op.query], dids[op.doc]);
-                    let start = Instant::now();
-                    let kind = match op.kind {
-                        OpKind::NonEmptiness => {
-                            retry_busy(1000, std::time::Duration::from_millis(1), || {
-                                retries += 1;
-                                client.non_empty(q, d)
-                            })
-                            .expect("non_empty");
-                            "non_emptiness"
-                        }
-                        OpKind::Count => {
-                            retry_busy(1000, std::time::Duration::from_millis(1), || {
-                                retries += 1;
-                                client.count(q, d)
-                            })
-                            .expect("count");
-                            "count"
-                        }
-                        OpKind::ModelCheck => {
-                            let tuple = witnesses[op.query][op.doc]
-                                .clone()
-                                .unwrap_or_else(|| spanner::SpanTuple::empty(1));
-                            retry_busy(1000, std::time::Duration::from_millis(1), || {
-                                retries += 1;
-                                client.model_check(q, d, &tuple)
-                            })
-                            .expect("model_check");
-                            "model_check"
-                        }
-                        OpKind::Compute { limit } => {
-                            retry_busy(1000, std::time::Duration::from_millis(1), || {
-                                retries += 1;
-                                client.compute(q, d, limit)
-                            })
-                            .expect("compute");
-                            "compute"
-                        }
-                        OpKind::Enumerate { skip, limit } => {
-                            retry_busy(1000, std::time::Duration::from_millis(1), || {
-                                retries += 1;
-                                client.enumerate(q, d, skip, limit, |_| {})
-                            })
-                            .expect("enumerate");
-                            "enumerate"
-                        }
-                    };
-                    // Each retry_busy closure body counts one attempt; the
-                    // successful attempt is not a retry.
-                    retries -= 1;
-                    local.push((kind, start.elapsed().as_micros() as u64));
-                }
-                latencies.lock().unwrap().extend(local);
-                *busy_retries.lock().unwrap() += retries;
-            });
-        }
-    });
-    let wall = wall.elapsed();
-    let samples = latencies.into_inner().unwrap();
-
-    header(&[
-        "task kind",
-        "ops",
-        "p50 (µs)",
-        "p95 (µs)",
-        "p99 (µs)",
-        "max (µs)",
-    ]);
-    let percentile = |sorted: &[u64], p: f64| -> u64 {
-        let rank = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-        sorted[rank]
-    };
-    for kind in [
-        "non_emptiness",
-        "count",
-        "model_check",
-        "compute",
-        "enumerate",
-    ] {
-        let mut of_kind: Vec<u64> = samples
-            .iter()
-            .filter(|(k, _)| *k == kind)
-            .map(|(_, us)| *us)
-            .collect();
-        if of_kind.is_empty() {
-            continue;
-        }
-        of_kind.sort_unstable();
-        println!(
-            "{}",
-            row(&[
-                kind.to_string(),
-                of_kind.len().to_string(),
-                percentile(&of_kind, 0.50).to_string(),
-                percentile(&of_kind, 0.95).to_string(),
-                percentile(&of_kind, 0.99).to_string(),
-                of_kind.last().unwrap().to_string(),
-            ])
-        );
-    }
-    let throughput = samples.len() as f64 / wall.as_secs_f64();
-    println!(
-        "\n{} clients × {} ops closed-loop: {} ops in {:?} → {:.0} ops/s, {} busy retries\n",
-        CLIENTS,
-        OPS,
-        samples.len(),
-        wall,
-        throughput,
-        busy_retries.into_inner().unwrap(),
-    );
-
-    // Streaming observability: on a large window the first page arrives at
-    // enumeration delay, not after the full evaluation.
-    let (q, d) = (qids[0], *dids.last().expect("documents"));
-    let start = Instant::now();
-    let mut first_page_us = 0u64;
-    let (tuples, _) = setup
-        .enumerate(q, d, 0, Some(4096), |_| {
-            if first_page_us == 0 {
-                first_page_us = start.elapsed().as_micros() as u64;
-            }
-        })
-        .expect("streamed enumeration");
-    println!(
-        "streamed enumeration of {} results: first page after {first_page_us} µs, full stream {} µs\n",
-        tuples.len(),
-        start.elapsed().as_micros(),
-    );
-    setup.shutdown().expect("shutdown");
-    server.join();
-
-    // Backpressure: a server capped at one in-flight request under 8
-    // hammering clients answers the excess with structured `busy` errors —
-    // and every request still completes through client retries.
-    let tiny = Server::bind(
-        "127.0.0.1:0",
-        Service::new(),
-        ServerConfig {
-            max_inflight: 1,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind tiny server");
-    let tiny_addr = tiny.local_addr();
-    let mut admin = Client::connect(tiny_addr).expect("connect");
-    let q = admin.add_query(patterns[0], b"ab").expect("add_query");
-    let d = admin.add_doc(&texts[texts.len() - 1]).expect("add_doc").id;
-    std::thread::scope(|scope| {
-        for _ in 0..8 {
-            scope.spawn(move || {
-                let mut client = Client::connect(tiny_addr).expect("connect");
-                for _ in 0..25 {
-                    retry_busy(10_000, std::time::Duration::from_micros(200), || {
-                        client.count(q, d)
-                    })
-                    .expect("count under overload");
-                }
-            });
-        }
-    });
-    let scrape = admin.stats().expect("stats");
-    println!(
-        "overload (max_inflight=1, 8 clients × 25 counts): {} served, {} busy rejections, 0 dropped connections\n",
-        series(&scrape, "spanner_tasks_total{kind=\"count\"}"),
-        series(&scrape, "spanner_server_busy_rejections_total"),
-    );
-    admin.shutdown().expect("shutdown");
-    tiny.join();
-
-    // Open loop: operations arrive at exponentially distributed instants
-    // (`traffic::open_loop_arrivals`) regardless of completion — the
-    // arrival schedule does not adapt to service speed (approximated by a
-    // pool of blocking senders; see the footnote under the table).
-    // Against a deliberately small admission cap this maps offered
-    // load to busy rate and latency percentiles around saturation: below
-    // it the busy rate is ~0 and latency flat; past it the excess surfaces
-    // as structured `busy` rejections (no request is ever retried here, so
-    // the busy rate is the raw overflow fraction).
-    println!("### open loop: offered load → busy rate / latency (max_inflight = 2)\n");
-    let open = Server::bind(
-        "127.0.0.1:0",
-        Service::new(),
-        ServerConfig {
-            max_inflight: 2,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind open-loop server");
-    let open_addr = open.local_addr();
-    let mut setup = Client::connect(open_addr).expect("connect");
-    let q = setup.add_query(patterns[0], b"ab").expect("add_query");
-    let open_dids: Vec<u64> = texts
-        .iter()
-        .map(|t| setup.add_doc(t).expect("add_doc").id)
-        .collect();
-    // Warm every pair so the sweep measures serving, not cold builds.
-    for &d in &open_dids {
-        setup.count(q, d).expect("warm-up");
-    }
-
-    header(&[
-        "mean gap (µs)",
-        "offered (ops/s)",
-        "ops",
-        "completed",
-        "busy",
-        "busy rate",
-        "p50 (µs)",
-        "p95 (µs)",
-        "p99 (µs)",
-        "achieved (ops/s)",
-    ]);
-    const SENDERS: usize = 6;
-    const OPEN_OPS: usize = 480;
-    let open_mix = Mix::new([
-        (OpKind::NonEmptiness, 50),
-        (OpKind::Count, 30),
-        (
-            OpKind::Enumerate {
-                skip: 0,
-                limit: Some(5),
-            },
-            20,
-        ),
-    ]);
-    for &mean_gap in &[2000u64, 500, 150, 60] {
-        let schedule =
-            traffic::closed_loop_schedule(1, open_dids.len(), &open_mix, OPEN_OPS, 0xE11);
-        let arrivals = traffic::open_loop_arrivals(OPEN_OPS, mean_gap, 0xE11 ^ mean_gap);
-        // Ok(latency µs) for completed operations, Err(()) for busy.
-        let results: Mutex<Vec<Result<u64, ()>>> = Mutex::new(Vec::with_capacity(OPEN_OPS));
-        let epoch = Instant::now();
-        std::thread::scope(|scope| {
-            for sender in 0..SENDERS {
-                let (schedule, arrivals, results, open_dids) =
-                    (&schedule, &arrivals, &results, &open_dids);
-                scope.spawn(move || {
-                    let mut client = Client::connect(open_addr).expect("connect");
-                    let mut local = Vec::new();
-                    for i in (sender..OPEN_OPS).step_by(SENDERS) {
-                        let at = std::time::Duration::from_micros(arrivals[i]);
-                        let now = epoch.elapsed();
-                        if at > now {
-                            std::thread::sleep(at - now);
-                        }
-                        let op = schedule[i];
-                        let d = open_dids[op.doc];
-                        let outcome = match op.kind {
-                            OpKind::NonEmptiness => client.non_empty(q, d).map(|_| ()),
-                            OpKind::Count => client.count(q, d).map(|_| ()),
-                            OpKind::Enumerate { skip, limit } => {
-                                client.enumerate(q, d, skip, limit, |_| {}).map(|_| ())
-                            }
-                            _ => unreachable!("not in the open-loop mix"),
-                        };
-                        // Latency is completion minus the *scheduled*
-                        // arrival, not minus the actual send: a sender
-                        // delayed by its previous operation charges that
-                        // queueing delay to the late operation instead of
-                        // hiding it (no coordinated omission).
-                        let done = epoch.elapsed();
-                        local.push(match outcome {
-                            Ok(()) => Ok(done.saturating_sub(at).as_micros() as u64),
-                            Err(e) if e.is_busy() => Err(()),
-                            Err(e) => panic!("open-loop operation failed: {e}"),
-                        });
-                    }
-                    results.lock().unwrap().extend(local);
-                });
-            }
-        });
-        let wall = epoch.elapsed();
-        let results = results.into_inner().unwrap();
-        let busy = results.iter().filter(|r| r.is_err()).count();
-        let mut completed: Vec<u64> = results.iter().filter_map(|r| r.ok()).collect();
-        completed.sort_unstable();
-        let p = |frac: f64| {
-            if completed.is_empty() {
-                "-".to_string()
-            } else {
-                percentile(&completed, frac).to_string()
-            }
-        };
-        println!(
-            "{}",
-            row(&[
-                mean_gap.to_string(),
-                format!("{:.0}", 1e6 / mean_gap as f64),
-                OPEN_OPS.to_string(),
-                completed.len().to_string(),
-                busy.to_string(),
-                format!("{:.3}", busy as f64 / OPEN_OPS as f64),
-                p(0.50),
-                p(0.95),
-                p(0.99),
-                format!("{:.0}", completed.len() as f64 / wall.as_secs_f64()),
-            ])
-        );
-    }
-    println!(
-        "\n({SENDERS} blocking senders share the arrival schedule, so the offered load is \
-         held approximately — a sender stuck in a long operation sends its next arrival \
-         late, but the lateness is charged to that operation's latency (measured from \
-         the scheduled arrival, not the actual send).  Each rejected operation counts \
-         as busy and is not retried, so the busy rate is the raw overflow fraction.)\n"
-    );
-    setup.shutdown().expect("shutdown");
-    open.join();
 }
 
 /// E12 — distributed shard execution: the same scatter-gather builds run
@@ -1663,12 +1269,13 @@ fn e14() {
     );
 }
 
-/// E16 — per-tenant isolation under a shared cache and admission gate: a
-/// heavy tenant churning many distinct (query, doc) pairs competes with a
-/// light tenant's repeated point lookups.  Without isolation the heavy
-/// tenant's builds evict the light tenant's hot matrices and crowd the
-/// admission gate; with a reserved cache share and a higher admission
-/// weight the light tenant's tail collapses back towards the hit path.
+/// E16 — per-tenant isolation under a shared cache and two execution
+/// permits: a heavy tenant churning many distinct (query, doc) pairs
+/// competes with a light tenant's repeated point lookups.  Without
+/// isolation the heavy tenant's builds evict the light tenant's hot
+/// matrices and hold the permits; with a reserved cache share and a higher
+/// admission weight the light tenant's tail collapses back towards the hit
+/// path.
 /// Latencies come from the server's own per-tenant histograms (the
 /// tracing subsystem's `obs` stats), not client-side clocks.
 fn e16() {
@@ -1758,7 +1365,7 @@ fn e16() {
             "127.0.0.1:0",
             service,
             ServerConfig {
-                max_inflight: 2,
+                scheduler_workers: 2,
                 ..ServerConfig::default()
             },
         )
@@ -1846,10 +1453,11 @@ fn e16() {
     }
     println!(
         "\n(Same {OPS}-op interleaved schedule both rows; {THREADS} closed-loop \
-         connections against a {CACHE_BUDGET}-byte matrix cache and a 2-slot \
-         admission gate.  The isolated row reserves a 64 KB cache share for \
-         the light tenant and weights its admission 4:1, so its p99 tracks the \
-         cache-hit path instead of the heavy tenant's rebuild churn.)\n"
+         connections against a {CACHE_BUDGET}-byte matrix cache and 2 execution \
+         permits; latencies include queue wait.  The isolated row reserves a \
+         64 KB cache share for the light tenant and weights its admission 4:1, \
+         so its queued lookups run ahead of the heavy tenant's backlog and hit \
+         the cache: its p50/p95 stay below the shared row's.)\n"
     );
 }
 

@@ -22,7 +22,7 @@
 pub use crate::bitmat::RMatrix;
 use crate::executor::{LocalExecutor, ShardExecutor, ShardJob, ShardOutcome};
 use crate::prepared::EByte;
-use crate::trace::{ShardTrace, SpanRec};
+use crate::trace::{self, ShardTrace, SpanRec};
 use slp::{NfRule, NonTerminal, NormalFormSlp, ShardLayout, Terminal};
 use spanner::{MarkedSymbol, MarkerSet, PartialMarkerSet};
 use spanner_automata::nfa::{Label, Nfa};
@@ -579,7 +579,9 @@ impl Preprocessed {
         let mut hedges = 0usize;
         let mut spans: Vec<SpanRec> = Vec::new();
         for ((range, block), mut outcome) in layout.ranges.iter().zip(&blocks).zip(outcomes) {
-            spans.append(&mut outcome.spans);
+            // Each fragment's parent indices are local to it: re-base them
+            // so every worker `shard_pass` stays under its own `shard_rpc`.
+            trace::graft(&mut spans, &outcome.spans, None, 0);
             // An outcome that breaks the executor contract (wrong row
             // count, wrong dimension, short leaf tables) is redone by the
             // local pass and counted as a fallback: a misbehaving backend

@@ -367,7 +367,7 @@ impl std::fmt::Display for TenantId {
 /// "unlimited"; `cache_share` is an absolute byte reservation carved from
 /// the service's global matrix-cache budget (`0` = no reservation), and
 /// `admission_weight` is consumed by serving front-ends to weight their
-/// bounded-admission gates.
+/// admission queues.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TenantConfig {
     /// Human-readable tenant name.

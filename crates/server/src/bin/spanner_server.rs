@@ -2,7 +2,7 @@
 //! shard worker, or a front-end over a worker pool.
 //!
 //! ```text
-//! spanner-server [--addr HOST:PORT] [--max-inflight N] [--max-frame BYTES]
+//! spanner-server [--addr HOST:PORT] [--max-frame BYTES]
 //!                [--page-size N] [--cache-budget BYTES]
 //!                [--block-cache-budget BYTES]
 //!                [--data-dir DIR] [--snapshot-every N] [--snapshot-bytes B]
@@ -51,12 +51,16 @@
 //! requests server-side, emitting `sampled_query` lines on the same
 //! rate-limited stderr channel.
 //!
-//! The v3 pipelining knobs: `--pipeline-window N` bounds the per-
-//! connection in-flight window (default 32), `--sched-workers N` sizes the
-//! QoS dispatcher pool (default 4), `--class-queue-depth N` bounds each
-//! weighted-fair class queue (default 64), and `--fifo` collapses the
-//! scheduler to a single FIFO class — the experiment baseline, not a
-//! production mode.
+//! Admission: `--sched-workers N` is the number of execution permits
+//! (default 4).  Every work-bearing frame runs on its reader thread when a
+//! permit is free that no queued frame is waiting for, and otherwise
+//! waits in its weighted-fair (class, tenant) queue for one of the N
+//! dispatchers.
+//! `--class-queue-depth N` bounds each queue (default 64); arrivals past
+//! it draw `busy`.  `--pipeline-window N` bounds the per-connection
+//! in-flight window of pipelined frames (default 32), and `--fifo`
+//! collapses the scheduler to a single FIFO class — the experiment
+//! baseline, not a production mode.
 //!
 //! Prints `LISTENING <addr>` once the socket is bound (scripts parse this
 //! to learn an ephemeral port), then serves until a client sends the
@@ -95,7 +99,6 @@ fn main() {
         };
         match args[i].as_str() {
             "--addr" => addr = value(i),
-            "--max-inflight" => config.max_inflight = parse(&value(i), "--max-inflight"),
             "--max-frame" => config.max_frame_len = parse(&value(i), "--max-frame"),
             "--page-size" => config.page_size = parse(&value(i), "--page-size"),
             "--cache-budget" => cache_budget = Some(parse(&value(i), "--cache-budget")),
@@ -142,7 +145,7 @@ fn main() {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: spanner-server [--addr HOST:PORT] [--max-inflight N] \
+                    "usage: spanner-server [--addr HOST:PORT] \
                      [--max-frame BYTES] [--page-size N] [--cache-budget BYTES] \
                      [--block-cache-budget BYTES] \
                      [--data-dir DIR] [--snapshot-every N] [--snapshot-bytes B] \

@@ -15,9 +15,10 @@
 //!   access, the same constraint as `crates/shims/*`), with canonical
 //!   encode/decode round-trips for every frame.
 //! * [`server`] — the long-running TCP server: accept loop, per-connection
-//!   workers, bounded admission answered with structured `busy` errors
-//!   (never a dropped connection), frame length caps, streamed enumeration
-//!   pages, and graceful shutdown that drains in-flight work.
+//!   workers, permit-based admission whose bounded queues answer overflow
+//!   with structured `busy` errors (never a dropped connection), frame
+//!   length caps, streamed enumeration pages, and graceful shutdown that
+//!   drains in-flight work.
 //! * [`client`] — a blocking typed client used by the integration tests,
 //!   the CI smoke script and the load generator, plus the v3
 //!   [`PipelinedClient`] that keeps many requests in flight on one socket

@@ -134,8 +134,8 @@ impl From<crate::json::JsonError> for ProtoError {
 /// [`Response::Error`] frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorCode {
-    /// The server is at its in-flight request cap; retry later.  The
-    /// connection stays open.
+    /// The request's scheduler queue is full; retry later.  The connection
+    /// stays open.
     Busy,
     /// The frame did not parse; the connection stays open.
     Malformed,

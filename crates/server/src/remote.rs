@@ -627,8 +627,8 @@ fn exchange(
                     code: ErrorCode::Busy,
                     ..
                 } if attempt < cfg.busy_retries => {
-                    // Structured backpressure: the worker is at its
-                    // admission cap, not broken — back off briefly.
+                    // Structured backpressure: the worker's queue is
+                    // full, not broken — back off briefly.
                     std::thread::sleep(Duration::from_millis(2));
                 }
                 Response::Error { code, detail } => {

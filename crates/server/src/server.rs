@@ -1,50 +1,52 @@
 //! The long-running TCP server: accept loop, per-connection workers,
-//! bounded admission, streaming enumeration and graceful drain.
+//! permit-based admission, streaming enumeration and graceful drain.
 //!
 //! ## Threading model
 //!
 //! One accept-loop thread plus one reader thread per live connection, plus
 //! a fixed pool of [`ServerConfig::scheduler_workers`] dispatcher threads
-//! executing pipelined tasks.  A frame without a request id (`"rid"`) is
-//! served lock-step on its reader thread; a task
-//! frame *with* an id is enqueued into the QoS scheduler and completes out
-//! of order, its response carrying the id back.  Any number of requests
+//! draining the QoS scheduler.  A frame without a request id (`"rid"`) is
+//! answered lock-step, in order; a frame *with* an id may complete out of
+//! order, its response carrying the id back.  Any number of requests
 //! evaluate concurrently over the one shared [`Service`] — that is exactly
 //! the service layer's `&self` contract, so the server adds **no** locking
 //! around evaluation; per-connection response writes serialize on one
 //! writer mutex (whole frames only, so streams interleave per page, never
 //! mid-frame).
 //!
+//! ## Admission control
+//!
+//! Every work-bearing frame — tasks, registrations, tenant operations and
+//! a worker's `shard_build` — holds one of
+//! [`ServerConfig::scheduler_workers`] execution permits while it runs.
+//! When a permit is free that no queued frame is waiting for, the frame
+//! runs right on its reader thread: an idle server pays no dispatcher
+//! hop, and inline work never delays queued work.  Otherwise it waits in
+//! its bounded (cost class, tenant) queue until a dispatcher takes it with
+//! a freed permit, in weighted-fair order.  A queued
+//! lock-step frame holds its reader until its reply is written, so
+//! lock-step replies stay in order.  An id-carrying expensive task always
+//! queues, so a scan never blocks a pipelined connection's reader.  A full
+//! queue answers [`ErrorCode::Busy`] at once — the connection is never
+//! dropped and the client owns the retry policy.  `ping`/`stats` are always
+//! admitted (an operator must be able to observe an overloaded server), and
+//! `shutdown` is always admitted so an overload can be drained away.
+//!
 //! ## Pipelining and the QoS scheduler (v3)
 //!
 //! Each connection may have up to [`ServerConfig::pipeline_window`]
-//! id-carrying tasks in flight; past the window the reader thread stops
+//! id-carrying frames in flight; past the window the reader thread stops
 //! reading, which surfaces to the client as TCP backpressure rather than
-//! an error.  Queued tasks sit in bounded per-(cost class, tenant) queues
-//! served by stride-based weighted fair queueing: a queue's weight is the
-//! tenant's admission weight times the class weight (cheap matrix-lookup
-//! tasks get [`TaskClass::weight`] = 8× the share of document-walking
-//! scans), so a burst of Enumerate scans can no longer starve ModelCheck
-//! point lookups.  A frame may carry a deadline budget (`"dl"`, µs from
-//! receipt); work still queued when its budget lapses is shed with
-//! [`ErrorCode::Expired`] instead of being executed late, and a full class
-//! queue sheds new arrivals with [`ErrorCode::Busy`].  Queue time is
+//! an error.  The scheduler serves its queues by stride-based weighted fair
+//! queueing: a queue's weight is the tenant's admission weight times the
+//! class weight (cheap matrix-lookup tasks get [`TaskClass::weight`] = 8×
+//! the share of document-walking scans; registrations and `shard_build`
+//! count as expensive), so a burst of Enumerate scans can no longer starve
+//! ModelCheck point lookups.  A frame may carry a deadline budget (`"dl"`,
+//! µs from receipt); work still queued when its budget lapses is shed with
+//! [`ErrorCode::Expired`] instead of being executed late.  Queue time is
 //! visible as a `queue_wait` span on sampled traces and as
 //! `spanner_queue_depth`/`spanner_shed_total` scrape lines.
-//!
-//! ## Admission control
-//!
-//! *Lock-step* work-bearing requests (registrations and id-less tasks)
-//! must win one of [`ServerConfig::max_inflight`] execution slots before
-//! touching the service.  When none is free the request is answered
-//! immediately with the structured error code [`ErrorCode::Busy`] — the
-//! connection is never dropped and never queued into an unbounded backlog;
-//! the client owns the retry policy.  *Pipelined* tasks skip that gate:
-//! their backlog is bounded by the class queues and the pipeline window
-//! instead, and the dispatcher pool caps their execution concurrency.
-//! `ping`/`stats` are always admitted (an operator must be able to observe
-//! an overloaded server), and `shutdown` is always admitted so an overload
-//! can be drained away.
 //!
 //! ## Framing
 //!
@@ -77,10 +79,11 @@
 //! frame carrying the wrong tenant draws [`ErrorCode::UnknownId`], exactly
 //! as if the document did not exist).  Quota violations draw the
 //! structured [`ErrorCode::Quota`] — an admission decision, distinct from
-//! the transient [`ErrorCode::Busy`].  Admission itself is weighted: each
-//! tenant `t` with weight `w_t` owns `max(1, max_inflight · w_t / Σw)`
-//! execution slots, so one tenant's flood cannot starve another's
-//! interactive traffic (`ping`/`stats`/`shutdown` stay exempt, as ever).
+//! the transient [`ErrorCode::Busy`].  Admission itself is weighted: under
+//! backlog, a tenant's queues are served in proportion to its admission
+//! weight (the WFQ key's weight is `w_t ×` the class weight), so one
+//! tenant's flood cannot starve another's interactive traffic
+//! (`ping`/`stats`/`shutdown` stay exempt, as ever).
 //!
 //! ## Persistence
 //!
@@ -97,9 +100,7 @@
 use crate::blockcache::{BlockCache, BlockKind};
 use crate::json::Json;
 use crate::metrics::Scrape;
-use crate::proto::{
-    ErrorCode, FrameMeta, ProtoError, Request, Response, WireStats, PROTOCOL_VERSION,
-};
+use crate::proto::{ErrorCode, ProtoError, Request, Response, WireStats, PROTOCOL_VERSION};
 use crate::remote::RemoteExecutor;
 use slp::NormalFormSlp;
 use spanner::regex;
@@ -114,7 +115,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -122,9 +123,6 @@ use std::time::{Duration, Instant};
 /// Server knobs; the defaults suit tests and small deployments.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Maximum number of work-bearing requests executing at once; the
-    /// excess is answered with [`ErrorCode::Busy`].
-    pub max_inflight: usize,
     /// Maximum accepted frame length in bytes (longer lines are discarded
     /// and answered with [`ErrorCode::Oversized`]).
     pub max_frame_len: usize,
@@ -157,15 +155,18 @@ pub struct ServerConfig {
     /// when a request turns out slow — a deliberate observability-for-
     /// allocation trade the operator opts into.
     pub slow_log_ms: u64,
-    /// Maximum id-carrying (pipelined) tasks in flight per connection.
+    /// Maximum id-carrying (pipelined) frames in flight per connection.
     /// Past the window the connection's reader stops reading — the client
     /// sees TCP backpressure, never an error.
     pub pipeline_window: usize,
-    /// Dispatcher threads executing pipelined tasks from the QoS
-    /// scheduler (clamped to at least 1).
+    /// Execution permits (clamped to at least 1): at most this many
+    /// work-bearing frames run at once, inline on their reader threads or
+    /// on the same number of dispatcher threads draining the scheduler
+    /// queues.
     pub scheduler_workers: usize,
-    /// Bound of each (cost class, tenant) scheduler queue; arrivals
-    /// beyond it are shed with [`ErrorCode::Busy`].
+    /// Bound of each (cost class, tenant) scheduler queue; a frame that
+    /// would queue beyond it is answered with [`ErrorCode::Busy`] — the
+    /// only source of `busy`.
     pub class_queue_depth: usize,
     /// Degrade the QoS scheduler to a single global FIFO that ignores
     /// class and tenant weights — the head-of-line-blocking baseline the
@@ -181,7 +182,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            max_inflight: 64,
             max_frame_len: 1 << 20,
             page_size: 64,
             poll_interval: Duration::from_millis(25),
@@ -297,69 +297,12 @@ struct Metrics {
     pages_streamed: AtomicU64,
     quota_rejections: AtomicU64,
     reshards: AtomicU64,
-    /// Pipelined requests dropped because their deadline elapsed while
+    /// Queued requests dropped because their deadline elapsed while
     /// queued (answered with [`ErrorCode::Expired`], never executed).
     shed_expired: AtomicU64,
-    /// Pipelined requests dropped because their class queue was full
-    /// (answered with [`ErrorCode::Busy`]).
+    /// Requests refused because their class queue was full (answered with
+    /// [`ErrorCode::Busy`]; `busy_rejections` counts the same replies).
     shed_overflow: AtomicU64,
-}
-
-/// One tenant's admission gate: its weight and live counters.  Gates exist
-/// for every *known* tenant; frames naming unknown tenants pass only the
-/// global gate (and then fail id/quota validation in the handler).
-#[derive(Debug)]
-struct TenantGate {
-    weight: AtomicU64,
-    inflight: AtomicUsize,
-    busy_rejections: AtomicU64,
-    quota_rejections: AtomicU64,
-}
-
-impl TenantGate {
-    fn new(weight: u32) -> TenantGate {
-        TenantGate {
-            // Weight 0 would compute a zero cap; floor at 1 (every tenant
-            // may always run *something*).
-            weight: AtomicU64::new(weight.max(1) as u64),
-            inflight: AtomicUsize::new(0),
-            busy_rejections: AtomicU64::new(0),
-            quota_rejections: AtomicU64::new(0),
-        }
-    }
-}
-
-/// The weighted admission table: per-tenant gates plus the cached weight
-/// total (recomputed under the write lock on every weight change).
-#[derive(Debug, Default)]
-struct Admission {
-    gates: RwLock<HashMap<u32, Arc<TenantGate>>>,
-    total_weight: AtomicU64,
-}
-
-impl Admission {
-    fn set_weight(&self, tenant: u32, weight: u32) {
-        let mut gates = self.gates.write().expect("admission table poisoned");
-        match gates.get(&tenant) {
-            Some(gate) => gate.weight.store(weight.max(1) as u64, Ordering::Relaxed),
-            None => {
-                gates.insert(tenant, Arc::new(TenantGate::new(weight)));
-            }
-        }
-        let total: u64 = gates
-            .values()
-            .map(|g| g.weight.load(Ordering::Relaxed))
-            .sum();
-        self.total_weight.store(total, Ordering::Relaxed);
-    }
-
-    fn gate(&self, tenant: u32) -> Option<Arc<TenantGate>> {
-        self.gates
-            .read()
-            .expect("admission table poisoned")
-            .get(&tenant)
-            .cloned()
-    }
 }
 
 /// Shared state of the background compactor: the single-flight gate plus
@@ -575,7 +518,6 @@ struct Shared {
     /// reissued — and an id only ever resolves inside its own tenant's
     /// vector, so cross-tenant ids cannot leak.
     documents: RwLock<HashMap<u32, Vec<Option<DocumentId>>>>,
-    admission: Admission,
     persist: Option<Persist>,
     remote: Option<Arc<RemoteExecutor>>,
     /// The content-addressed cache behind the `shard_build` have/need
@@ -583,13 +525,9 @@ struct Shared {
     /// every server so the handler and `stats` need no special-casing.
     block_cache: BlockCache<CachedBlock>,
     shutdown: AtomicBool,
-    /// Lock-step requests holding an admission slot (see `Shared::admit`).
-    inflight: AtomicUsize,
-    /// Pipelined tasks executing on a scheduler dispatcher right now.
-    dispatching: AtomicUsize,
     metrics: Metrics,
     obs: Obs,
-    /// The QoS scheduler behind pipelined (id-carrying) task frames.
+    /// The one admission mechanism: execution permits plus the QoS queues.
     scheduler: Scheduler,
     /// Server-side probabilistic trace sampler
     /// ([`ServerConfig::trace_sample_rate`]).
@@ -607,7 +545,7 @@ enum CachedBlock {
 impl Shared {
     /// The `stats` answer: every metric this process exports, rendered as
     /// Prometheus text straight from its sources — the service counters,
-    /// the transport atomics, the tenant table and admission gates, the
+    /// the transport atomics, the tenant table, the scheduler, the
     /// block cache, the remote executor, the store and the latency
     /// histograms.  The only place a metric is named.
     fn render_metrics(&self) -> String {
@@ -675,16 +613,14 @@ impl Shared {
             &[],
             v.reshards.load(Ordering::Relaxed),
         );
-        // Lock-step requests holding an admission slot plus pipelined tasks
-        // on a dispatcher.
-        let inflight =
-            self.inflight.load(Ordering::Relaxed) + self.dispatching.load(Ordering::Relaxed);
-        m.gauge("spanner_server_inflight", &[], inflight as u64);
+        // Work holding a permit, inline on a reader or on a dispatcher.
+        let (running, depths) = self.scheduler.gauges();
+        m.gauge("spanner_server_inflight", &[], running as u64);
         for class in TaskClass::ALL {
             m.gauge(
                 "spanner_queue_depth",
                 &[("class", class.name())],
-                self.scheduler.depth(class),
+                depths[class.index()],
             );
         }
         m.counter(
@@ -701,13 +637,7 @@ impl Shared {
         for id in self.service.tenant_ids() {
             let config = self.service.tenant_config(id).unwrap_or_default();
             let usage = self.service.tenant_usage(id).unwrap_or_default();
-            let (inflight, busy, quota) = self.admission.gate(id.0).map_or((0, 0, 0), |g| {
-                (
-                    g.inflight.load(Ordering::Relaxed) as u64,
-                    g.busy_rejections.load(Ordering::Relaxed),
-                    g.quota_rejections.load(Ordering::Relaxed),
-                )
-            });
+            let load = self.scheduler.tenant_load(id.0);
             let tenant = id.0.to_string();
             let label = [("tenant", tenant.as_str())];
             m.gauge("spanner_tenant_docs", &label, usage.docs);
@@ -733,9 +663,17 @@ impl Shared {
                 &label,
                 config.admission_weight as u64,
             );
-            m.gauge("spanner_tenant_inflight", &label, inflight);
-            m.counter("spanner_tenant_busy_rejections_total", &label, busy);
-            m.counter("spanner_tenant_quota_rejections_total", &label, quota);
+            m.gauge("spanner_tenant_inflight", &label, load.inflight);
+            m.counter(
+                "spanner_tenant_busy_rejections_total",
+                &label,
+                load.busy_rejections,
+            );
+            m.counter(
+                "spanner_tenant_quota_rejections_total",
+                &label,
+                load.quota_rejections,
+            );
         }
 
         if let Some(p) = &self.persist {
@@ -820,59 +758,12 @@ impl Shared {
         self.metrics
             .quota_rejections
             .fetch_add(1, Ordering::Relaxed);
-        if let Some(gate) = self.admission.gate(tenant) {
-            gate.quota_rejections.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Tries to win one execution slot for `tenant`'s request; `None`
-    /// means the global cap or the tenant's weighted share is exhausted
-    /// and the request must be answered with `busy`.
-    fn admit(self: &Arc<Self>, tenant: u32) -> Option<Permit> {
-        if self.inflight.fetch_add(1, Ordering::AcqRel) >= self.config.max_inflight {
-            self.inflight.fetch_sub(1, Ordering::AcqRel);
-            self.metrics.busy_rejections.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let gate = self.admission.gate(tenant);
-        if let Some(gate) = &gate {
-            // cap_t = max(1, max_inflight · w_t / Σw): proportional shares
-            // that always leave every tenant at least one slot.
-            let total = self.admission.total_weight.load(Ordering::Relaxed).max(1);
-            let weight = gate.weight.load(Ordering::Relaxed);
-            let cap = ((self.config.max_inflight as u64 * weight / total) as usize).max(1);
-            if gate.inflight.fetch_add(1, Ordering::AcqRel) >= cap {
-                gate.inflight.fetch_sub(1, Ordering::AcqRel);
-                self.inflight.fetch_sub(1, Ordering::AcqRel);
-                self.metrics.busy_rejections.fetch_add(1, Ordering::Relaxed);
-                gate.busy_rejections.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        }
-        Some(Permit {
-            shared: self.clone(),
-            gate,
-        })
-    }
-}
-
-/// An execution slot, released on drop (also on panics and early returns).
-struct Permit {
-    shared: Arc<Shared>,
-    gate: Option<Arc<TenantGate>>,
-}
-
-impl Drop for Permit {
-    fn drop(&mut self) {
-        if let Some(gate) = &self.gate {
-            gate.inflight.fetch_sub(1, Ordering::AcqRel);
-        }
-        self.shared.inflight.fetch_sub(1, Ordering::AcqRel);
+        self.scheduler.lock().tenant(tenant).quota_rejections += 1;
     }
 }
 
 // ---------------------------------------------------------------------------
-// Pipelined connections and the QoS scheduler
+// Connections and the scheduler
 // ---------------------------------------------------------------------------
 
 /// Per-connection state shared between the reader thread and the
@@ -880,9 +771,10 @@ impl Drop for Permit {
 /// and the pipeline window.
 struct Conn {
     writer: Mutex<TcpStream>,
-    /// Id-carrying tasks currently queued or executing for this
-    /// connection.  The reader blocks acquiring a slot past the window
-    /// (TCP backpressure) and waits for zero before closing.
+    /// This connection's jobs parked in or taken from the scheduler queues
+    /// and not yet answered.  The reader stops reading while the window is
+    /// full (TCP backpressure), waits for zero behind a queued lock-step
+    /// frame, and waits for zero before closing.
     window: Mutex<usize>,
     cond: Condvar,
 }
@@ -908,10 +800,11 @@ impl Conn {
         writer.flush()
     }
 
-    /// Claims one pipeline-window slot, blocking while the window is full
-    /// (re-checking the shutdown flag every poll tick).  `false` means a
-    /// drain began while waiting and the request should be refused.
-    fn acquire_slot(&self, shared: &Shared) -> bool {
+    /// Blocks while the pipeline window is full (re-checking the shutdown
+    /// flag every poll tick).  Only the reader fills the window, so there
+    /// is still room when its next job is queued.  `false` means a drain
+    /// began while waiting and the request should be refused.
+    fn wait_for_room(&self, shared: &Shared) -> bool {
         let cap = shared.config.pipeline_window.max(1);
         let mut window = self.window.lock().expect("pipeline window poisoned");
         while *window >= cap {
@@ -924,8 +817,12 @@ impl Conn {
                 .expect("pipeline window poisoned")
                 .0;
         }
-        *window += 1;
         true
+    }
+
+    /// Takes one window slot for a job being queued.
+    fn claim_slot(&self) {
+        *self.window.lock().expect("pipeline window poisoned") += 1;
     }
 
     fn release_slot(&self) {
@@ -935,9 +832,9 @@ impl Conn {
         self.cond.notify_all();
     }
 
-    /// Blocks until every scheduled task of this connection has completed
+    /// Blocks until every queued job of this connection has been answered
     /// (each holds a window slot until its response is written or shed) —
-    /// the graceful-drain guarantee for pipelined work.
+    /// the lock-step ordering and graceful-drain guarantees.
     fn drain(&self) {
         let mut window = self.window.lock().expect("pipeline window poisoned");
         while *window > 0 {
@@ -950,20 +847,19 @@ impl Conn {
     }
 }
 
-/// One id-carrying task parked in the scheduler.
-struct QueuedTask {
+/// One admitted work-bearing frame — a task, registration, tenant op or
+/// `shard_build` — and the connection its reply goes to.
+struct Job {
     conn: Arc<Conn>,
+    /// The frame's request id; `0` = lock-step.
     id: u64,
     /// Execution budget in µs from `received`; `0` = no deadline.
     deadline_us: u64,
-    /// The task's true cost class (also the depth-gauge slot, even when
+    /// The work's true cost class (also the depth-gauge slot, even when
     /// FIFO mode collapses the queue keys).
     class: TaskClass,
     tenant: u32,
-    trace_id: u64,
-    query: u64,
-    doc: u64,
-    task: crate::proto::WireTask,
+    work: Request,
     received: Instant,
 }
 
@@ -974,10 +870,19 @@ const STRIDE_SCALE: u64 = 1 << 20;
 
 /// One (cost class, tenant) queue of the weighted-fair scheduler.
 struct ClassQueue {
-    queue: VecDeque<QueuedTask>,
+    queue: VecDeque<Job>,
     /// Stride pass: the virtual time of this queue's next dispatch.
     pass: u64,
     weight: u64,
+}
+
+/// One tenant's admission counters (the `spanner_tenant_*` series).
+#[derive(Debug, Clone, Copy, Default)]
+struct TenantLoad {
+    /// Jobs of this tenant holding a permit.
+    inflight: u64,
+    busy_rejections: u64,
+    quota_rejections: u64,
 }
 
 struct SchedState {
@@ -987,56 +892,126 @@ struct SchedState {
     /// Virtual time of the last dispatch; newly-backlogged queues start
     /// here so an idle queue cannot bank credit.
     global_pass: u64,
+    /// Jobs holding a permit, inline on a reader or on a dispatcher.
+    running: usize,
+    /// Queued jobs per [`TaskClass::index`] (by the job's true class even
+    /// in FIFO mode, so the gauges stay meaningful).
+    depths: [u64; TaskClass::ALL.len()],
+    tenants: HashMap<u32, TenantLoad>,
     stopped: bool,
 }
 
-/// The QoS scheduler: bounded per-(class, tenant) queues drained by the
-/// dispatcher pool in stride-scheduled weighted-fair order.
+impl SchedState {
+    fn tenant(&mut self, tenant: u32) -> &mut TenantLoad {
+        self.tenants.entry(tenant).or_default()
+    }
+
+    fn queued(&self) -> usize {
+        self.depths.iter().sum::<u64>() as usize
+    }
+}
+
+/// The server's one admission mechanism: `permits` execution permits and
+/// bounded per-(class, tenant) queues, drained by the dispatcher pool in
+/// stride-scheduled weighted-fair order.  Work runs on its caller's
+/// thread while a permit is spare (held by no one and wanted by no queued
+/// job), so WFQ order applies only under backlog.
 struct Scheduler {
     state: Mutex<SchedState>,
     cond: Condvar,
-    /// Live queue depth per [`TaskClass::index`] (by the task's true
-    /// class even in FIFO mode, so the gauges stay meaningful).
-    depths: [AtomicU64; TaskClass::ALL.len()],
+    permits: usize,
 }
 
-/// What [`Scheduler::enqueue`] did with an arriving task.
-enum Enqueue {
-    /// Parked; a dispatcher will pick it up.
+/// A held execution permit, returned on drop together with a queued
+/// job's window slot — also when the job's execution unwinds, so a
+/// panicking request neither shrinks the permit pool nor wedges its
+/// connection's drain.
+struct Running<'a> {
+    scheduler: &'a Scheduler,
+    tenant: u32,
+    /// The connection whose window slot the (queued) job holds.
+    slot: Option<Arc<Conn>>,
+}
+
+impl Drop for Running<'_> {
+    fn drop(&mut self) {
+        let mut state = self.scheduler.lock();
+        state.running -= 1;
+        state.tenant(self.tenant).inflight -= 1;
+        let wake = state.queued() > 0;
+        drop(state);
+        if wake {
+            self.scheduler.cond.notify_one();
+        }
+        // Permit first: a lock-step reader woken by the slot may admit its
+        // next frame inline at once.
+        if let Some(conn) = &self.slot {
+            conn.release_slot();
+        }
+    }
+}
+
+/// What [`Scheduler::schedule`] did with an arriving job.
+enum Admit<'a> {
+    /// A spare permit was free: the caller runs the job while holding it.
+    Inline(Job, Running<'a>),
+    /// Parked, holding a window slot of its connection; a dispatcher will
+    /// run it.
     Queued,
-    /// The class queue is full: the task is handed back to be shed with
+    /// The job's queue is full: it is to be answered with
     /// [`ErrorCode::Busy`].
-    Overflow(QueuedTask),
+    Overflow,
 }
 
 impl Scheduler {
-    fn new() -> Scheduler {
+    fn new(permits: usize) -> Scheduler {
         Scheduler {
             state: Mutex::new(SchedState {
                 classes: HashMap::new(),
                 global_pass: 0,
+                running: 0,
+                depths: [0; TaskClass::ALL.len()],
+                tenants: HashMap::new(),
                 stopped: false,
             }),
             cond: Condvar::new(),
-            depths: std::array::from_fn(|_| AtomicU64::new(0)),
+            permits,
         }
     }
 
-    /// Parks `task` in its (class, tenant) queue with the given WFQ
-    /// weight, unless the queue is at its bound.
-    fn enqueue(&self, task: QueuedTask, weight: u64, config: &ServerConfig) -> Enqueue {
-        let class = task.class;
-        let key = if config.fifo_scheduler {
-            (TaskClass::Cheap, 0)
+    fn lock(&self) -> std::sync::MutexGuard<'_, SchedState> {
+        self.state.lock().expect("scheduler poisoned")
+    }
+
+    /// Admits `job`.  When `inline` allows it and more permits are free
+    /// than jobs are queued, the job takes a permit and comes back to run
+    /// on the calling thread — never one a queued job is waiting for.
+    /// Otherwise it is parked in its (class, tenant) queue with WFQ weight
+    /// `weight()`, unless that queue is at its bound.
+    fn schedule(
+        &self,
+        job: Job,
+        inline: bool,
+        weight: impl FnOnce() -> u64,
+        config: &ServerConfig,
+    ) -> Admit<'_> {
+        let mut guard = self.lock();
+        let state = &mut *guard;
+        if inline && state.running + state.queued() < self.permits {
+            state.running += 1;
+            state.tenant(job.tenant).inflight += 1;
+            let running = Running {
+                scheduler: self,
+                tenant: job.tenant,
+                slot: None,
+            };
+            return Admit::Inline(job, running);
+        }
+        let (key, weight) = if config.fifo_scheduler {
+            ((TaskClass::Cheap, 0), 1)
         } else {
-            (class, task.tenant)
+            ((job.class, job.tenant), weight().max(1))
         };
-        let weight = if config.fifo_scheduler {
-            1
-        } else {
-            weight.max(1)
-        };
-        let mut state = self.state.lock().expect("scheduler poisoned");
         let global_pass = state.global_pass;
         let entry = state.classes.entry(key).or_insert_with(|| ClassQueue {
             queue: VecDeque::new(),
@@ -1044,7 +1019,8 @@ impl Scheduler {
             weight,
         });
         if entry.queue.len() >= config.class_queue_depth.max(1) {
-            return Enqueue::Overflow(task);
+            state.tenant(job.tenant).busy_rejections += 1;
+            return Admit::Overflow;
         }
         if entry.queue.is_empty() {
             // A queue going from idle to backlogged joins at the current
@@ -1052,92 +1028,102 @@ impl Scheduler {
             entry.pass = entry.pass.max(global_pass);
         }
         entry.weight = weight;
-        self.depths[class.index()].fetch_add(1, Ordering::Relaxed);
-        entry.queue.push_back(task);
-        drop(state);
-        self.cond.notify_one();
-        Enqueue::Queued
+        state.depths[job.class.index()] += 1;
+        job.conn.claim_slot();
+        entry.queue.push_back(job);
+        let wake = state.running < self.permits;
+        drop(guard);
+        if wake {
+            self.cond.notify_one();
+        }
+        Admit::Queued
     }
 
-    /// The next task in weighted-fair order; blocks until one arrives or
-    /// the scheduler is stopped (then drains the backlog before `None`).
-    fn next(&self, poll: Duration) -> Option<QueuedTask> {
-        let mut state = self.state.lock().expect("scheduler poisoned");
+    /// The next job in weighted-fair order, taken together with a permit;
+    /// blocks while nothing is queued or every permit is held.  Once the
+    /// scheduler is stopped it drains the backlog, then yields `None`.
+    fn next(&self, poll: Duration) -> Option<(Job, Running<'_>)> {
+        let mut guard = self.lock();
         loop {
-            let min = state
-                .classes
-                .iter()
-                .filter(|(_, c)| !c.queue.is_empty())
-                .min_by_key(|(_, c)| c.pass)
-                .map(|(&key, _)| key);
-            if let Some(key) = min {
-                let entry = state.classes.get_mut(&key).expect("picked key exists");
-                let task = entry.queue.pop_front().expect("picked queue non-empty");
-                let pass = entry.pass;
-                entry.pass += STRIDE_SCALE / entry.weight;
-                state.global_pass = pass;
-                self.depths[task.class.index()].fetch_sub(1, Ordering::Relaxed);
-                return Some(task);
+            let state = &mut *guard;
+            if state.running < self.permits {
+                let min = state
+                    .classes
+                    .iter()
+                    .filter(|(_, c)| !c.queue.is_empty())
+                    .min_by_key(|(_, c)| c.pass)
+                    .map(|(&key, _)| key);
+                if let Some(key) = min {
+                    let entry = state.classes.get_mut(&key).expect("picked key exists");
+                    let job = entry.queue.pop_front().expect("picked queue non-empty");
+                    let pass = entry.pass;
+                    entry.pass += STRIDE_SCALE / entry.weight;
+                    state.global_pass = pass;
+                    state.depths[job.class.index()] -= 1;
+                    state.running += 1;
+                    state.tenant(job.tenant).inflight += 1;
+                    let running = Running {
+                        scheduler: self,
+                        tenant: job.tenant,
+                        slot: Some(job.conn.clone()),
+                    };
+                    return Some((job, running));
+                }
             }
-            if state.stopped {
+            if state.stopped && state.queued() == 0 {
                 return None;
             }
-            state = self
+            guard = self
                 .cond
-                .wait_timeout(state, poll)
+                .wait_timeout(guard, poll)
                 .expect("scheduler poisoned")
                 .0;
         }
     }
 
     fn stop(&self) {
-        self.state.lock().expect("scheduler poisoned").stopped = true;
+        self.lock().stopped = true;
         self.cond.notify_all();
     }
 
-    fn depth(&self, class: TaskClass) -> u64 {
-        self.depths[class.index()].load(Ordering::Relaxed)
+    /// Jobs holding a permit, and queued jobs per [`TaskClass::index`].
+    fn gauges(&self) -> (usize, [u64; TaskClass::ALL.len()]) {
+        let state = self.lock();
+        (state.running, state.depths)
+    }
+
+    fn tenant_load(&self, tenant: u32) -> TenantLoad {
+        self.lock()
+            .tenants
+            .get(&tenant)
+            .copied()
+            .unwrap_or_default()
     }
 }
 
-/// One dispatcher thread: pulls tasks in weighted-fair order, sheds the
-/// already-late ones, executes the rest, and always releases the task's
-/// pipeline-window slot.  Write errors end only the affected connection
-/// (its reader will observe EOF); the dispatcher itself never dies.
+/// One dispatcher thread: takes queued jobs with a permit in weighted-fair
+/// order, sheds the already-late ones and executes the rest; dropping
+/// the [`Running`] guard returns the permit and the job's window slot.
+/// Write errors end only the affected connection (its reader will observe
+/// EOF); the dispatcher itself never dies.
 fn scheduler_loop(shared: Arc<Shared>) {
-    while let Some(task) = shared.scheduler.next(shared.config.poll_interval) {
-        let waited_us = task.received.elapsed().as_micros() as u64;
-        if task.deadline_us > 0 && waited_us > task.deadline_us {
+    while let Some((job, _running)) = shared.scheduler.next(shared.config.poll_interval) {
+        let waited_us = job.received.elapsed().as_micros() as u64;
+        if job.deadline_us > 0 && waited_us > job.deadline_us {
             shared.metrics.shed_expired.fetch_add(1, Ordering::Relaxed);
-            let _ = task.conn.send(
-                task.id,
+            let _ = job.conn.send(
+                job.id,
                 &Response::Error {
                     code: ErrorCode::Expired,
                     detail: format!(
                         "deadline budget of {} µs elapsed after {} µs in queue",
-                        task.deadline_us, waited_us
+                        job.deadline_us, waited_us
                     ),
                 },
             );
-            task.conn.release_slot();
-            continue;
+        } else {
+            let _ = execute(&shared, job, Some(waited_us));
         }
-        let conn = task.conn.clone();
-        shared.dispatching.fetch_add(1, Ordering::Relaxed);
-        let _ = run_task(
-            &shared,
-            &conn,
-            task.id,
-            task.tenant,
-            task.trace_id,
-            task.query,
-            task.doc,
-            task.task,
-            task.received,
-            Some(waited_us),
-        );
-        shared.dispatching.fetch_sub(1, Ordering::Relaxed);
-        conn.release_slot();
     }
 }
 
@@ -1180,19 +1166,12 @@ impl Server {
             remote,
             reshard,
         } = options;
-        let admission = Admission::default();
-        // The default tenant always has a gate (the service seeds it).
-        let default_weight = service
-            .tenant_config(TenantId::DEFAULT)
-            .map_or(1, |c| c.admission_weight);
-        admission.set_weight(0, default_weight);
-
         let mut documents: HashMap<u32, Vec<Option<DocumentId>>> = HashMap::new();
         let mut persist = None;
         let mut recovery = None;
         if let Some(opts) = persistence {
             let (store, recovered) = Store::open(&opts.dir)?;
-            let report = replay(&service, &admission, &mut documents, &recovered.image)?;
+            let report = replay(&service, &mut documents, &recovered.image)?;
             recovery = Some(RecoveryReport {
                 from_snapshot: recovered.from_snapshot,
                 replayed_verbs: recovered.replayed_verbs,
@@ -1229,16 +1208,13 @@ impl Server {
             config,
             queries: RwLock::new(Vec::new()),
             documents: RwLock::new(documents),
-            admission,
             persist,
             remote,
             block_cache: BlockCache::new(config.block_cache_budget),
             shutdown: AtomicBool::new(false),
-            inflight: AtomicUsize::new(0),
-            dispatching: AtomicUsize::new(0),
             metrics: Metrics::default(),
             obs: Obs::new(),
-            scheduler: Scheduler::new(),
+            scheduler: Scheduler::new(config.scheduler_workers.max(1)),
             sampler: Sampler::new(config.trace_sample_rate),
         });
         let dispatchers = (0..config.scheduler_workers.max(1))
@@ -1345,7 +1321,6 @@ impl Drop for Server {
 /// (burned ids stay burned).
 fn replay(
     service: &Service,
-    admission: &Admission,
     documents: &mut HashMap<u32, Vec<Option<DocumentId>>>,
     image: &CorpusImage,
 ) -> io::Result<RecoveryReport> {
@@ -1364,7 +1339,6 @@ fn replay(
                 spec.id
             )));
         }
-        admission.set_weight(spec.id, spec.admission_weight);
     }
     for doc in &image.docs {
         let slp = NormalFormSlp::from_document(&doc.text)
@@ -1724,10 +1698,8 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) -> io::Result<()> {
 /// frame was a `shutdown`).  `received` is the instant the frame was read
 /// — the epoch of the request's trace, when it is sampled.
 ///
-/// Frames without a request id run lock-step on the reader thread;
-/// id-carrying task frames are handed to the
-/// QoS scheduler and complete out of order, everything else id-carrying
-/// runs inline but answers framed.
+/// `ping`, `stats` and `shutdown` are answered at once; every other frame
+/// is a job for the scheduler (see the module docs' *Admission control*).
 fn handle_frame(
     line: &[u8],
     shared: &Arc<Shared>,
@@ -1791,175 +1763,145 @@ fn handle_frame(
             Ok(true)
         }
         // Everything else is work: refuse during a drain, check the role,
-        // then win a slot (lock-step) or a queue seat (pipelined).
+        // then run it inline or queue it.
         work => {
+            let refuse = |code: ErrorCode, detail: String| {
+                conn.send(meta.id, &Response::Error { code, detail })
+                    .map(|()| false)
+            };
+            let draining = || refuse(ErrorCode::ShuttingDown, "the server is draining".into());
             if shared.shutdown.load(Ordering::SeqCst) {
-                conn.send(
-                    meta.id,
-                    &Response::Error {
-                        code: ErrorCode::ShuttingDown,
-                        detail: "the server is draining".into(),
-                    },
-                )?;
-                return Ok(false);
+                return draining();
             }
             // Worker processes are stateless shard-pass engines: they hold
             // no corpus, so registrations and tasks are refused with a
             // structured error (the connection stays usable).
             if shared.config.worker && !matches!(work, Request::ShardBuild { .. }) {
-                conn.send(
-                    meta.id,
-                    &Response::Error {
-                        code: ErrorCode::Unsupported,
-                        detail: "this is a --worker process; it serves shard_build, ping, \
-                                 stats and shutdown only"
-                            .into(),
-                    },
-                )?;
-                return Ok(false);
+                return refuse(
+                    ErrorCode::Unsupported,
+                    "this is a --worker process; it serves shard_build, ping, stats and \
+                     shutdown only"
+                        .into(),
+                );
             }
-            // The tenant whose admission share this request draws from:
-            // frames without a tenant field run as the default tenant.
-            let tenant = match &work {
+            // Registrations and `shard_build` walk whole documents or
+            // blocks: they are expensive, like scans.  Frames without a
+            // tenant field run as the default tenant.
+            let (tenant, class) = match &work {
+                Request::Task { tenant, task, .. } => (*tenant, task.to_task().class()),
                 Request::AddDoc { tenant, .. }
                 | Request::AddDocSharded { tenant, .. }
-                | Request::RemoveDoc { tenant, .. }
-                | Request::Task { tenant, .. } => *tenant,
-                _ => 0,
+                | Request::RemoveDoc { tenant, .. } => (*tenant, TaskClass::Expensive),
+                _ => (0, TaskClass::Expensive),
             };
-            // Pipelined tasks go through the QoS scheduler, not the
-            // blanket inflight gate: their backlog is bounded by the class
-            // queues and the pipeline window instead.
-            if meta.id != 0 {
-                if let Request::Task {
-                    tenant,
-                    trace,
-                    query,
-                    doc,
-                    task,
-                } = work
-                {
-                    return schedule_task(
-                        shared, conn, meta, tenant, trace, query, doc, task, received,
+            if meta.id != 0 && !conn.wait_for_room(shared) {
+                return draining();
+            }
+            let job = Job {
+                conn: conn.clone(),
+                id: meta.id,
+                deadline_us: meta.deadline_us,
+                class,
+                tenant,
+                work,
+                received,
+            };
+            // Lock-step frames and cheap pipelined tasks may run on this
+            // reader; a pipelined expensive task always queues, so a scan
+            // never blocks the connection's other requests.
+            let inline = meta.id == 0 || class == TaskClass::Cheap;
+            let weight = || {
+                let tenant_weight = shared
+                    .service
+                    .tenant_config(TenantId(tenant))
+                    .map_or(1, |c| c.admission_weight.max(1));
+                u64::from(tenant_weight) * class.weight()
+            };
+            match shared
+                .scheduler
+                .schedule(job, inline, weight, &shared.config)
+            {
+                Admit::Inline(job, _running) => execute(shared, job, None).map(|()| false),
+                // A queued lock-step frame holds its reader until it is
+                // answered, so lock-step replies stay in order.
+                Admit::Queued => {
+                    if meta.id == 0 {
+                        conn.drain();
+                    }
+                    Ok(false)
+                }
+                Admit::Overflow => {
+                    let metrics = &shared.metrics;
+                    metrics.busy_rejections.fetch_add(1, Ordering::Relaxed);
+                    metrics.shed_overflow.fetch_add(1, Ordering::Relaxed);
+                    refuse(
+                        ErrorCode::Busy,
+                        format!(
+                            "the {}/tenant-{} queue is at its {}-deep bound",
+                            class.name(),
+                            tenant,
+                            shared.config.class_queue_depth.max(1)
+                        ),
                     )
-                    .map(|()| false);
                 }
             }
-            let Some(_permit) = shared.admit(tenant) else {
-                conn.send(
-                    meta.id,
-                    &Response::Error {
-                        code: ErrorCode::Busy,
-                        detail: format!(
-                            "{} requests in flight (the configured cap)",
-                            shared.config.max_inflight
-                        ),
-                    },
-                )?;
-                return Ok(false);
-            };
-            let response = match work {
-                Request::AddQuery { pattern, alphabet } => add_query(shared, &pattern, &alphabet),
-                Request::AddDoc { tenant, text } => add_doc(shared, tenant, &text, Some(1)),
-                Request::AddDocSharded { tenant, k, text } => {
-                    add_doc(shared, tenant, &text, (k > 0).then_some(k as usize))
-                }
-                Request::RemoveDoc { tenant, doc } => remove_doc(shared, tenant, doc),
-                Request::TenantCreate { spec } => tenant_upsert(shared, spec, false),
-                Request::TenantUpdate { spec } => tenant_upsert(shared, spec, true),
-                Request::ShardBuild {
-                    nfa,
-                    rules,
-                    root,
-                    nfa_hash,
-                    block_hash,
-                    trace,
-                } => shard_build(shared, nfa, rules, root, nfa_hash, block_hash, trace),
-                Request::Task {
-                    tenant,
-                    trace,
-                    query,
-                    doc,
-                    task,
-                } => {
-                    return run_task(
-                        shared, conn, meta.id, tenant, trace, query, doc, task, received, None,
-                    )
-                    .map(|()| false)
-                }
-                Request::Ping | Request::Stats | Request::Shutdown => unreachable!("handled above"),
-            };
-            conn.send(meta.id, &response).map(|()| false)
         }
     }
 }
 
-/// Parks one pipelined task in the QoS scheduler: claims a pipeline-window
-/// slot (blocking the reader — TCP backpressure — when the window is
-/// full), then enqueues under the task's (cost class, tenant) key with
-/// weight `tenant admission weight × class weight`.  Arrivals beyond the
-/// class queue bound are shed immediately with [`ErrorCode::Busy`].
-#[allow(clippy::too_many_arguments)]
-fn schedule_task(
-    shared: &Arc<Shared>,
-    conn: &Arc<Conn>,
-    meta: FrameMeta,
-    tenant: u32,
-    trace_id: u64,
-    query: u64,
-    doc: u64,
-    task: crate::proto::WireTask,
-    received: Instant,
-) -> io::Result<()> {
-    if !conn.acquire_slot(shared) {
-        return conn.send(
-            meta.id,
-            &Response::Error {
-                code: ErrorCode::ShuttingDown,
-                detail: "the server is draining".into(),
-            },
-        );
-    }
-    let class = task.to_task().class();
-    let tenant_weight = shared
-        .admission
-        .gate(tenant)
-        .map_or(1, |gate| gate.weight.load(Ordering::Relaxed));
-    let queued = QueuedTask {
-        conn: conn.clone(),
-        id: meta.id,
-        deadline_us: meta.deadline_us,
-        class,
-        tenant,
-        trace_id,
-        query,
-        doc,
-        task,
+/// Runs one admitted job and writes its reply tagged with the job's id
+/// (`0` = lock-step).  `queue_wait_us` is `Some` for a job a dispatcher
+/// took from the scheduler queues.
+fn execute(shared: &Arc<Shared>, job: Job, queue_wait_us: Option<u64>) -> io::Result<()> {
+    let Job {
+        conn,
+        id,
+        work,
         received,
-    };
-    match shared.scheduler.enqueue(
-        queued,
-        tenant_weight.max(1) * class.weight(),
-        &shared.config,
-    ) {
-        Enqueue::Queued => Ok(()),
-        Enqueue::Overflow(task) => {
-            shared.metrics.shed_overflow.fetch_add(1, Ordering::Relaxed);
-            conn.release_slot();
-            conn.send(
-                task.id,
-                &Response::Error {
-                    code: ErrorCode::Busy,
-                    detail: format!(
-                        "the {}/tenant-{} queue is at its {}-deep bound",
-                        class.name(),
-                        tenant,
-                        shared.config.class_queue_depth.max(1)
-                    ),
-                },
+        ..
+    } = job;
+    let response = match work {
+        Request::AddQuery { pattern, alphabet } => add_query(shared, &pattern, &alphabet),
+        Request::AddDoc { tenant, text } => add_doc(shared, tenant, &text, Some(1)),
+        Request::AddDocSharded { tenant, k, text } => {
+            add_doc(shared, tenant, &text, (k > 0).then_some(k as usize))
+        }
+        Request::RemoveDoc { tenant, doc } => remove_doc(shared, tenant, doc),
+        Request::TenantCreate { spec } => tenant_upsert(shared, spec, false),
+        Request::TenantUpdate { spec } => tenant_upsert(shared, spec, true),
+        Request::ShardBuild {
+            nfa,
+            rules,
+            root,
+            nfa_hash,
+            block_hash,
+            trace,
+        } => shard_build(shared, nfa, rules, root, nfa_hash, block_hash, trace),
+        Request::Task {
+            tenant,
+            trace,
+            query,
+            doc,
+            task,
+        } => {
+            return run_task(
+                shared,
+                &conn,
+                id,
+                tenant,
+                trace,
+                query,
+                doc,
+                task,
+                received,
+                queue_wait_us,
             )
         }
-    }
+        Request::Ping | Request::Stats | Request::Shutdown => {
+            unreachable!("always admitted, never a job")
+        }
+    };
+    conn.send(id, &response)
 }
 
 fn add_query(shared: &Shared, pattern: &str, alphabet: &[u8]) -> Response {
@@ -2074,8 +2016,9 @@ fn remove_doc(shared: &Shared, tenant: u32, doc: u64) -> Response {
     }
 }
 
-/// Creates (`update = false`) or reconfigures (`update = true`) a tenant,
-/// mirroring the change into the admission table and the durable log.
+/// Creates (`update = false`) or reconfigures (`update = true`) a tenant
+/// and records the change in the durable log.  The scheduler reads the
+/// tenant's admission weight whenever it queues the tenant's work.
 fn tenant_upsert(shared: &Shared, spec: TenantSpec, update: bool) -> Response {
     let config = TenantConfig {
         name: spec.name.clone(),
@@ -2103,7 +2046,6 @@ fn tenant_upsert(shared: &Shared, spec: TenantSpec, update: bool) -> Response {
             }
         };
     }
-    shared.admission.set_weight(spec.id, spec.admission_weight);
     if let Some(persist) = &shared.persist {
         let verb = if update {
             LogVerb::TenantUpdate(spec.clone())
@@ -2331,8 +2273,8 @@ fn finish_trace(
 
 /// Executes one task and writes its response(s) tagged with `id` (`0` for
 /// the lock-step path).  `queue_wait_us` is the scheduler wait of a
-/// pipelined task (recorded as a `queue_wait` span on sampled traces);
-/// lock-step tasks pass `None` and record an `admit` span.
+/// queued task (recorded as a `queue_wait` span on sampled traces); a
+/// task run inline passes `None` and records an `admit` span.
 #[allow(clippy::too_many_arguments)]
 fn run_task(
     shared: &Arc<Shared>,
@@ -2396,7 +2338,7 @@ fn run_task(
             received,
         );
         match queue_wait_us {
-            // A pipelined task: the dominant pre-execution cost is its
+            // A queued task: the dominant pre-execution cost is its
             // scheduler queue wait.
             Some(waited) => tracer.record(
                 "queue_wait",
@@ -2408,8 +2350,8 @@ fn run_task(
                     ("class", request.task.class().name().to_string()),
                 ],
             ),
-            // Lock-step: everything between frame receipt and here —
-            // decode, the admission gate, id resolution.
+            // Inline: everything between frame receipt and here —
+            // decode, admission, id resolution.
             None => tracer.record(
                 "admit",
                 0,
@@ -2521,7 +2463,7 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let config = ServerConfig::default();
-        assert!(config.max_inflight > 0);
+        assert!(config.scheduler_workers > 0);
         assert!(config.max_frame_len >= 4096);
         assert!(config.page_size > 0);
         assert!(config.poll_interval > Duration::ZERO);

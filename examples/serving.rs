@@ -5,7 +5,9 @@
 //!
 //! Run with `cargo run --release --example serving`.
 
-use spanner_server::{metrics, retry_busy, Client, Server, ServerConfig, PROTOCOL_VERSION};
+use spanner_server::{
+    metrics, retry_busy, Client, PipelinedClient, Server, ServerConfig, WireTask, PROTOCOL_VERSION,
+};
 use spanner_slp_core::Service;
 use std::time::{Duration, Instant};
 
@@ -73,20 +75,39 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (count_sharded, _) = client.count(q, auto.id)?;
     assert_eq!(count, count_sharded);
 
-    // Backpressure in one picture: a second server capped at 0 in-flight
-    // requests answers with a structured `busy` error — the connection
-    // survives, and retry_busy is how clients ride it out.
+    // Backpressure in one picture: a second server with one execution
+    // permit and one-deep queues.  A page-at-a-time scan whose client never
+    // reads pins the permit, a second scan fills the queue, and the next
+    // expensive frame is answered with a structured `busy` error — the
+    // connection survives, and retry_busy is how clients ride it out.
     let capped = Server::bind(
         "127.0.0.1:0",
         Service::new(),
         ServerConfig {
-            max_inflight: 0,
+            scheduler_workers: 1,
+            class_queue_depth: 1,
+            page_size: 1,
             ..ServerConfig::default()
         },
     )?;
     let mut capped_client = Client::connect(capped.local_addr())?;
+    let wide = capped_client.add_query(".*x{a.*}.*", b"ab")?;
+    let long = capped_client.add_doc(&b"ab".repeat(1000))?.id;
+    let scan = WireTask::Enumerate {
+        skip: 0,
+        limit: None,
+    };
+    let mut pin = PipelinedClient::connect(capped.local_addr())?;
+    pin.submit(wide, long, scan.clone())?;
+    await_series(&mut capped_client, "spanner_server_inflight", 1)?;
+    pin.submit(wide, long, scan)?;
+    await_series(
+        &mut capped_client,
+        "spanner_queue_depth{class=\"expensive\"}",
+        1,
+    )?;
     let refused = capped_client.add_query(".*x{ab}.*", b"ab").unwrap_err();
-    println!("starved server says: {refused}");
+    println!("saturated server says: {refused}");
     assert!(refused.is_busy());
     assert_eq!(
         capped_client.ping()?,
@@ -97,6 +118,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         capped_client.add_query(".*x{ab}.*", b"ab")
     })
     .is_err());
+    // Closing the scan's connection ends it and frees the permit.
+    drop(pin);
     capped.shutdown_and_join();
 
     // Service-wide and transport counters over the wire, then a drain.
@@ -113,5 +136,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     client.shutdown()?;
     server.join();
     println!("server drained and exited cleanly");
+    Ok(())
+}
+
+/// Polls one series of the server's scrape until it reads `want`.
+fn await_series(
+    client: &mut Client,
+    name: &str,
+    want: u64,
+) -> Result<(), Box<dyn std::error::Error>> {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while metrics::value(&client.stats()?, name) != Some(want) {
+        if Instant::now() >= deadline {
+            return Err(format!("{name} never reached {want}").into());
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
     Ok(())
 }

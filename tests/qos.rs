@@ -1,15 +1,17 @@
 //! Integration tests of protocol v3 pipelining and the QoS scheduler:
 //! out-of-order completion, page interleaving on one socket, deadline
-//! shedding, class-queue overflow, and lock-step frames beside pipelined
-//! ones.
+//! shedding, class-queue overflow, lock-step frames beside pipelined ones,
+//! and lock-step frames queued behind a held permit.
 
 use spanner_server::{
-    metrics, Client, ErrorCode, PipelinedClient, Response, Server, ServerConfig, WireTask,
+    metrics, Client, ErrorCode, PipelinedClient, Response, Server, ServerConfig, TenantSpec,
+    WireTask,
 };
 use spanner_slp_core::Service;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 const SHED_EXPIRED: &str = "spanner_shed_total{reason=\"expired\"}";
 const SHED_OVERFLOW: &str = "spanner_shed_total{reason=\"overflow\"}";
@@ -33,6 +35,39 @@ fn register(client: &mut Client, pairs: usize) -> (u64, u64) {
     let query = client.add_query(".*x{ab}.*", b"ab").expect("add_query");
     let doc = client.add_doc(&b"ab".repeat(pairs)).expect("add_doc").id;
     (query, doc)
+}
+
+/// Polls one series of the scrape until it reads `want`.
+fn await_series(client: &mut Client, name: &str, want: u64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let value = series(client, name);
+        if value == want {
+            return;
+        }
+        assert!(Instant::now() < deadline, "{name} stuck at {value}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// Pins the permit of a one-permit server: a page-size-1 scan over ~10⁶
+/// results whose client never reads blocks in its page writes.  Dropping
+/// the returned client fails the next write and frees the permit.
+fn pin_permit(admin: &mut Client, addr: std::net::SocketAddr) -> PipelinedClient {
+    let query = admin.add_query(".*x{a.*}.*", b"ab").expect("add_query");
+    let doc = admin.add_doc(&b"ab".repeat(1000)).expect("add_doc").id;
+    let mut pin = PipelinedClient::connect(addr).unwrap();
+    pin.submit(
+        query,
+        doc,
+        WireTask::Enumerate {
+            skip: 0,
+            limit: None,
+        },
+    )
+    .unwrap();
+    await_series(admin, INFLIGHT, 1);
+    pin
 }
 
 #[test]
@@ -371,10 +406,10 @@ fn queue_depth_gauges_are_reported() {
         assert_eq!(series(&mut client, name), 0, "{name}");
     }
 
-    // A pipelined scan executing on a dispatcher is in flight: it holds no
-    // lock-step admission slot, but the gauge must still see it.  Its
-    // client reads nothing until the end, so the scan stays busy writing
-    // pages while the gauge is polled.
+    // A pipelined scan executing on a dispatcher is in flight: it holds a
+    // permit, and the gauge must see it.  Its client reads nothing until
+    // the end, so the scan stays busy writing pages while the gauge is
+    // polled.
     let (query, doc) = register(&mut client, 50_000);
     let mut pipe = PipelinedClient::connect(server.local_addr()).unwrap();
     pipe.submit(
@@ -407,5 +442,140 @@ fn queue_depth_gauges_are_reported() {
     // The dispatcher leaves the gauge right after writing the last frame.
     assert_eq!(poll_inflight(|n| n == 0), 0);
     client.shutdown().unwrap();
+    server.join();
+}
+
+#[test]
+fn queued_lockstep_frame_is_answered_in_order_once_the_permit_frees() {
+    // A lock-step frame arriving while the only permit is held queues (it
+    // is not refused as busy) and holds its reader: the ping sent right
+    // behind it is read, and answered, only after it.
+    let server = boot(ServerConfig {
+        scheduler_workers: 1,
+        page_size: 1,
+        ..ServerConfig::default()
+    });
+    let mut admin = Client::connect(server.local_addr()).unwrap();
+    let (query, doc) = register(&mut admin, 4);
+    admin.count(query, doc).unwrap(); // warm, so the queued count is quick
+    let pin = pin_permit(&mut admin, server.local_addr());
+
+    let stream = TcpStream::connect(server.local_addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    writer
+        .write_all(
+            format!(
+                "{{\"v\":3,\"op\":\"task\",\"task\":\"count\",\"query\":{query},\"doc\":{doc}}}\n\
+                 {{\"v\":3,\"op\":\"ping\"}}\n"
+            )
+            .as_bytes(),
+        )
+        .unwrap();
+    await_series(&mut admin, "spanner_queue_depth{class=\"cheap\"}", 1);
+    // Nothing is answered while the permit stays pinned.
+    reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_millis(100)))
+        .unwrap();
+    let mut line = Vec::new();
+    assert!(reader.read_until(b'\n', &mut line).is_err(), "{line:?}");
+    assert!(line.is_empty());
+
+    drop(pin);
+    reader.get_ref().set_read_timeout(None).unwrap();
+    let mut read_line = || {
+        let mut line = Vec::new();
+        reader.read_until(b'\n', &mut line).unwrap();
+        assert_eq!(line.pop(), Some(b'\n'));
+        line
+    };
+    let counted = read_line();
+    assert!(
+        !counted.windows(5).any(|w| w == b"\"rid\""),
+        "lock-step response carries rid"
+    );
+    match Response::decode(&counted).unwrap() {
+        Response::Counted { value, .. } => assert_eq!(value, 4),
+        other => panic!("expected the queued count, got {other:?}"),
+    }
+    assert!(matches!(
+        Response::decode(&read_line()).unwrap(),
+        Response::Pong { proto: 3 }
+    ));
+    assert_eq!(
+        series(&mut admin, "spanner_server_busy_rejections_total"),
+        0
+    );
+    admin.shutdown().unwrap();
+    server.join();
+}
+
+#[test]
+fn tenant_weights_order_queued_lockstep_frames() {
+    // Four lock-step scans each from a weight-4 and a weight-1 tenant queue
+    // behind the pinned permit.  Stride scheduling then runs the heavier
+    // tenant's queue four times as often, so its scans finish at ranks
+    // {1,3,4,5} or {2,3,4,5} (rank sum 13 or 14, by which queue wins the
+    // opening tie); equal weights alternate (16 or 20).
+    const HEAVY: u32 = 1;
+    const LIGHT: u32 = 2;
+    let server = boot(ServerConfig {
+        scheduler_workers: 1,
+        page_size: 1,
+        ..ServerConfig::default()
+    });
+    let addr = server.local_addr();
+    let mut admin = Client::connect(addr).unwrap();
+    let query = admin.add_query(".*x{ab}.*", b"ab").unwrap();
+    let mut docs = Vec::new();
+    for (id, weight) in [(HEAVY, 4), (LIGHT, 1)] {
+        admin
+            .tenant_create(TenantSpec {
+                id,
+                name: format!("tenant-{id}"),
+                max_docs: 0,
+                max_corpus_bytes: 0,
+                cache_share: 0,
+                admission_weight: weight,
+            })
+            .unwrap();
+        admin.set_tenant(id);
+        let doc = admin.add_doc(&b"ab".repeat(2000)).unwrap().id;
+        // Warm the pair: every queued scan then costs the same page
+        // stream, ~2000 flushed pages, so completions are well apart.
+        admin.count(query, doc).unwrap();
+        docs.push((id, doc));
+    }
+    admin.set_tenant(0);
+    let pin = pin_permit(&mut admin, addr);
+
+    let finished: Mutex<Vec<u32>> = Mutex::new(Vec::new());
+    std::thread::scope(|scope| {
+        for &(tenant, doc) in &docs {
+            for _ in 0..4 {
+                let finished = &finished;
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr).unwrap();
+                    client.set_tenant(tenant);
+                    let (tuples, _) = client.enumerate(query, doc, 0, None, |_| {}).unwrap();
+                    assert_eq!(tuples.len(), 2000);
+                    finished.lock().unwrap().push(tenant);
+                });
+            }
+        }
+        await_series(&mut admin, "spanner_queue_depth{class=\"expensive\"}", 8);
+        drop(pin);
+    });
+
+    let order = finished.into_inner().unwrap();
+    let heavy_ranks: usize = (1..=order.len()).filter(|&r| order[r - 1] == HEAVY).sum();
+    // One unit of slack for two neighbouring replies whose client threads
+    // wake in swapped order.
+    assert!(
+        heavy_ranks <= 15,
+        "the weight-4 tenant's queued work did not run ahead: {order:?}"
+    );
+    admin.shutdown().unwrap();
     server.join();
 }

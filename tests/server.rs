@@ -5,7 +5,10 @@
 
 use slp::NormalFormSlp;
 use spanner::regex;
-use spanner_server::{metrics, retry_busy, Client, ClientError, ErrorCode, Server, ServerConfig};
+use spanner_server::{
+    metrics, retry_busy, Client, ClientError, ErrorCode, PipelinedClient, Server, ServerConfig,
+    WireTask,
+};
 use spanner_slp_core::service::{Service, Task, TaskOutcome, TaskRequest};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -122,9 +125,9 @@ fn every_task_is_transport_transparent() {
 #[test]
 fn sixteen_concurrent_clients_get_identical_results() {
     let server = boot(ServerConfig {
-        // Small enough that 16 clients provoke real backpressure, large
-        // enough to make progress.
-        max_inflight: 4,
+        // Four permits for 16 clients: most frames queue behind running
+        // ones, and every one is still answered.
+        scheduler_workers: 4,
         ..ServerConfig::default()
     });
     let addr = server.local_addr();
@@ -180,8 +183,9 @@ fn sixteen_concurrent_clients_get_identical_results() {
         }
     });
 
-    // Overload is answered with structured busy errors, never drops: every
-    // connection above completed all its rounds.
+    // Overload queues (or, past the queue bound, is answered with
+    // structured busy errors) and never drops: every connection above
+    // completed all its rounds.
     let scrape = admin.stats().unwrap();
     assert_eq!(
         metrics::value(&scrape, "spanner_server_connections_total"),
@@ -299,20 +303,51 @@ fn a_stalled_reader_cannot_wedge_the_drain() {
     drop(stalled);
 }
 
+/// Polls one series of the server's scrape until it reads `want`.
+fn await_series(client: &mut Client, name: &str, want: u64) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        let value = metrics::value(&client.stats().unwrap(), name);
+        if value == Some(want) {
+            return;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "{name} stuck at {value:?}"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
 #[test]
 fn overload_backpressure_is_structured_busy_not_a_drop() {
-    // max_inflight = 0: every work request is over the cap, deterministic.
+    // One permit, pinned by a page-size-1 scan whose client never reads,
+    // and a one-deep queue holding a second scan: the next expensive frame
+    // of the same tenant overflows its queue, deterministically.
     let server = boot(ServerConfig {
-        max_inflight: 0,
+        scheduler_workers: 1,
+        class_queue_depth: 1,
+        page_size: 1,
         ..ServerConfig::default()
     });
     let mut client = Client::connect(server.local_addr()).unwrap();
+    let q = client.add_query(".*x{a.*}.*", b"ab").unwrap();
+    let d = client.add_doc(&b"ab".repeat(1000)).unwrap().id;
+    let scan = WireTask::Enumerate {
+        skip: 0,
+        limit: None,
+    };
+    let mut pin = PipelinedClient::connect(server.local_addr()).unwrap();
+    pin.submit(q, d, scan.clone()).unwrap();
+    await_series(&mut client, "spanner_server_inflight", 1);
+    pin.submit(q, d, scan).unwrap();
+    await_series(&mut client, "spanner_queue_depth{class=\"expensive\"}", 1);
 
     let err = client.add_query(PATTERNS[0], b"ab").unwrap_err();
     match &err {
         ClientError::Server { code, detail } => {
             assert_eq!(*code, ErrorCode::Busy);
-            assert!(detail.contains("in flight"), "{detail}");
+            assert!(detail.contains("queue is at its 1-deep bound"), "{detail}");
         }
         other => panic!("expected structured busy, got {other:?}"),
     }
@@ -325,6 +360,9 @@ fn overload_backpressure_is_structured_busy_not_a_drop() {
         metrics::value(&scrape, "spanner_server_busy_rejections_total"),
         Some(1)
     );
+    // Closing the scan's connection fails its next page write and frees
+    // the permit.
+    drop(pin);
     server.shutdown_and_join();
 }
 

@@ -146,6 +146,34 @@ fn remote_sharded_builds_stitch_worker_fragments_into_the_tree() {
             spans[parent]
         );
     }
+    // ... and each shard's pass hangs under that shard's own leg: every
+    // `shard_rpc` (one per shard index) parents exactly one `shard_pass`.
+    let shard_of = |span: &SpanRec| {
+        span.attrs
+            .iter()
+            .find(|(k, _)| k == "shard")
+            .map(|(_, v)| v.clone())
+            .expect("shard attr")
+    };
+    let mut legs: Vec<String> = rpcs.iter().map(|rpc| shard_of(rpc)).collect();
+    legs.sort();
+    legs.dedup();
+    assert_eq!(legs.len(), 4, "one leg per shard index: {spans:?}");
+    for (index, rpc) in spans.iter().enumerate() {
+        if rpc.name != "shard_rpc" {
+            continue;
+        }
+        let children = passes
+            .iter()
+            .filter(|pass| pass.parent == Some(index as u32))
+            .count();
+        assert_eq!(
+            children,
+            1,
+            "shard {}'s leg parents {children} passes: {spans:?}",
+            shard_of(rpc)
+        );
+    }
     assert!(names(spans).contains(&"gather_products"), "{spans:?}");
 
     client.shutdown().unwrap();
