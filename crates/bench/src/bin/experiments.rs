@@ -1,6 +1,8 @@
-//! The experiment report generator: runs every experiment of DESIGN.md §6
-//! (E1–E15) once with moderate parameters and prints one markdown table per
-//! experiment.  EXPERIMENTS.md is produced from this output.
+//! The experiment report generator: runs every experiment of DESIGN.md §7
+//! (E1–E10, E13–E17) with moderate parameters and prints one markdown table
+//! per experiment.  EXPERIMENTS.md is produced from this output.  Timings
+//! come from [`spanner_bench::time`] (a warm-up run, then the median of
+//! repeated runs); the serving workloads are measured by perfbench.
 //!
 //! Usage:
 //!
@@ -15,7 +17,7 @@ use slp::{families, SlpStats};
 use spanner_automata::membership::compressed_membership;
 use spanner_bench::{
     ab_family, log_family, measure_delays, random_byte_nfa, repetitiveness_family, row, time,
-    unary_family, us,
+    unary_family, us, DocCase,
 };
 use spanner_slp_core::{
     compute::compute_all, enumerate::Enumerator, model_check, nonemptiness, PreparedDocument,
@@ -60,9 +62,6 @@ fn main() {
     if run("e10") {
         e10();
     }
-    if run("e12") {
-        e12();
-    }
     if run("e13") {
         e13();
     }
@@ -81,14 +80,8 @@ fn main() {
 }
 
 fn header(cols: &[&str]) {
-    println!(
-        "{}",
-        row(&cols.iter().map(|c| c.to_string()).collect::<Vec<_>>())
-    );
-    println!(
-        "{}",
-        row(&cols.iter().map(|_| "---".to_string()).collect::<Vec<_>>())
-    );
+    row(&cols.iter().map(|c| c.to_string()).collect::<Vec<_>>());
+    row(&cols.iter().map(|_| "---".to_string()).collect::<Vec<_>>());
 }
 
 /// E1 — non-emptiness: time vs size(S) and d.
@@ -98,30 +91,24 @@ fn e1() {
     let figure2 = queries::figure2().automaton;
     for case in unary_family(&[10, 14, 18, 22, 26, 30]) {
         let (t, result) = time(|| nonemptiness::is_non_empty(&figure2, &case.slp));
-        println!(
-            "{}",
-            row(&[
-                case.name.clone(),
-                case.doc_len().to_string(),
-                case.slp_size().to_string(),
-                result.to_string(),
-                us(t),
-            ])
-        );
+        row(&[
+            case.name.clone(),
+            case.doc_len().to_string(),
+            case.slp_size().to_string(),
+            result.to_string(),
+            us(t),
+        ]);
     }
     let log_query = queries::log_error_value().automaton;
     for case in log_family(&[100, 1000, 10_000, 50_000]) {
         let (t, result) = time(|| nonemptiness::is_non_empty(&log_query, &case.slp));
-        println!(
-            "{}",
-            row(&[
-                case.name.clone(),
-                case.doc_len().to_string(),
-                case.slp_size().to_string(),
-                result.to_string(),
-                us(t),
-            ])
-        );
+        row(&[
+            case.name.clone(),
+            case.doc_len().to_string(),
+            case.slp_size().to_string(),
+            result.to_string(),
+            us(t),
+        ]);
     }
     println!();
 }
@@ -134,28 +121,32 @@ fn e2() {
         "d",
         "size(S)",
         "depth(S)",
+        "x",
         "verdict",
         "time (µs)",
     ]);
     let query = queries::ab_blocks().automaton;
     let x = query.variables().get("x").expect("x");
     for case in ab_family(&[1 << 8, 1 << 12, 1 << 16, 1 << 20, 1 << 24]) {
+        // `mid` is odd, the start of an "ab": a match; one position on, a
+        // "ba" is not.
         let mid = case.doc_len() / 2 + 1;
-        let mut tuple = spanner::SpanTuple::empty(1);
-        tuple.set(x, spanner::Span::new(mid, mid + 2).expect("valid"));
-        let (t, verdict) =
-            time(|| model_check::check(&query, &case.slp, &tuple).expect("in bounds"));
-        println!(
-            "{}",
+        for (start, expected) in [(mid, true), (mid + 1, false)] {
+            let mut tuple = spanner::SpanTuple::empty(1);
+            tuple.set(x, spanner::Span::new(start, start + 2).expect("valid"));
+            let (t, verdict) =
+                time(|| model_check::check(&query, &case.slp, &tuple).expect("in bounds"));
+            assert_eq!(verdict, expected, "model check of [{start}, {}⟩", start + 2);
             row(&[
                 case.name.clone(),
                 case.doc_len().to_string(),
                 case.slp_size().to_string(),
                 case.slp.depth().to_string(),
+                format!("[{start}, {}⟩", start + 2),
                 verdict.to_string(),
                 us(t),
-            ])
-        );
+            ]);
+        }
     }
     println!();
 }
@@ -171,21 +162,35 @@ fn e3() {
         "time (µs)",
         "µs / result",
     ]);
-    let query = queries::ab_blocks().automaton;
-    for case in ab_family(&[1 << 6, 1 << 8, 1 << 10, 1 << 12, 1 << 14]) {
-        let (t, results) = time(|| compute_all(&query, &case.slp).expect("evaluation succeeds"));
+    let ab_blocks = queries::ab_blocks();
+    // The same pattern over {a, b, c}, for the documents holding c's.
+    let abc = spanner::regex::compile_deterministic(ab_blocks.pattern, b"abc").expect("compiles");
+    // r grows linearly with k, size(S) only logarithmically.
+    let r_sweep = ab_family(&[1 << 6, 1 << 8, 1 << 10, 1 << 12, 1 << 14])
+        .into_iter()
+        .map(|case| (&ab_blocks.automaton, case));
+    // r = 1: the single "ab" follows a run of c's whose SLP size grows, so
+    // time should track size(S), not d.
+    let s_sweep = [10u32, 14, 18].map(|n| {
+        let case = DocCase {
+            name: format!("c^2^{n}·ab"),
+            slp: families::power_of_two_unary(b'c', n)
+                .append_terminal(b'a')
+                .append_terminal(b'b'),
+        };
+        (&abc, case)
+    });
+    for (query, case) in r_sweep.chain(s_sweep) {
+        let (t, results) = time(|| compute_all(query, &case.slp).expect("evaluation succeeds"));
         let per = t.as_secs_f64() * 1e6 / results.len().max(1) as f64;
-        println!(
-            "{}",
-            row(&[
-                case.name.clone(),
-                case.doc_len().to_string(),
-                case.slp_size().to_string(),
-                results.len().to_string(),
-                us(t),
-                format!("{per:.3}"),
-            ])
-        );
+        row(&[
+            case.name.clone(),
+            case.doc_len().to_string(),
+            case.slp_size().to_string(),
+            results.len().to_string(),
+            us(t),
+            format!("{per:.3}"),
+        ]);
     }
     println!();
 }
@@ -194,6 +199,7 @@ fn e3() {
 fn e4_e5() {
     println!("## E4 / E5 — enumeration (Theorem 8.10): preprocessing and delay\n");
     header(&[
+        "query",
         "document",
         "d",
         "size(S)",
@@ -204,14 +210,21 @@ fn e4_e5() {
         "max delay (µs)",
         "results drawn",
     ]);
-    let query = queries::ab_blocks().automaton;
-    for case in ab_family(&[1 << 8, 1 << 12, 1 << 16, 1 << 20, 1 << 24]) {
-        let (prep_time, enumerator) =
-            time(|| Enumerator::new(&query, &case.slp).expect("deterministic"));
-        let stats = measure_delays(enumerator.iter(), 10_000);
-        println!(
-            "{}",
+    let cases = [
+        (
+            queries::ab_blocks(),
+            ab_family(&[1 << 8, 1 << 12, 1 << 16, 1 << 20, 1 << 24]),
+        ),
+        (queries::figure2(), unary_family(&[10, 16, 22])),
+        (queries::key_value(), log_family(&[100, 1000])),
+    ];
+    for (query, family) in &cases {
+        for case in family {
+            let (prep_time, enumerator) =
+                time(|| Enumerator::new(&query.automaton, &case.slp).expect("deterministic"));
+            let stats = measure_delays(enumerator.iter(), 10_000);
             row(&[
+                query.name.to_string(),
                 case.name.clone(),
                 case.doc_len().to_string(),
                 case.slp_size().to_string(),
@@ -221,8 +234,8 @@ fn e4_e5() {
                 us(stats.mean_delay),
                 us(stats.max_delay),
                 stats.results.to_string(),
-            ])
-        );
+            ]);
+        }
     }
     println!();
 }
@@ -259,21 +272,18 @@ fn e6() {
         } else {
             "baseline"
         };
-        println!(
-            "{}",
-            row(&[
-                format!("{novelty}"),
-                stats.document_len.to_string(),
-                stats.size.to_string(),
-                format!("{:.4}", stats.ratio),
-                r.to_string(),
-                us(t_compressed),
-                us(t_baseline),
-                us(t_ne_compressed),
-                us(t_ne_baseline),
-                winner.to_string(),
-            ])
-        );
+        row(&[
+            format!("{novelty}"),
+            stats.document_len.to_string(),
+            stats.size.to_string(),
+            format!("{:.4}", stats.ratio),
+            r.to_string(),
+            us(t_compressed),
+            us(t_baseline),
+            us(t_ne_compressed),
+            us(t_ne_baseline),
+            winner.to_string(),
+        ]);
     }
     println!();
 }
@@ -308,17 +318,14 @@ fn e7() {
             let (t_c, a) = time(|| compressed_membership(&nfa, slp));
             let (t_u, b) = time(|| nfa.accepts(&doc));
             assert_eq!(a, b, "membership algorithms disagree");
-            println!(
-                "{}",
-                row(&[
-                    name.to_string(),
-                    q.to_string(),
-                    slp.document_len().to_string(),
-                    slp.size().to_string(),
-                    us(t_c),
-                    us(t_u),
-                ])
-            );
+            row(&[
+                name.to_string(),
+                q.to_string(),
+                slp.document_len().to_string(),
+                slp.size().to_string(),
+                us(t_c),
+                us(t_u),
+            ]);
         }
     }
     println!();
@@ -341,6 +348,7 @@ fn e8() {
             .collect();
         let chain = Chain.compress(&doc);
         let balanced = rebalance(&chain);
+        assert!(balanced.depth() < chain.depth());
         let chain_stats = measure_delays(
             Enumerator::new(&query, &chain)
                 .expect("deterministic")
@@ -353,16 +361,13 @@ fn e8() {
                 .iter(),
             500,
         );
-        println!(
-            "{}",
-            row(&[
-                (2u64 << exp).to_string(),
-                chain.depth().to_string(),
-                balanced.depth().to_string(),
-                us(chain_stats.mean_delay),
-                us(balanced_stats.mean_delay),
-            ])
-        );
+        row(&[
+            (2u64 << exp).to_string(),
+            chain.depth().to_string(),
+            balanced.depth().to_string(),
+            us(chain_stats.mean_delay),
+            us(balanced_stats.mean_delay),
+        ]);
     }
     println!();
 }
@@ -441,21 +446,18 @@ fn e10() {
                         },
                     })
                     .expect("enumeration succeeds");
-                println!(
-                    "{}",
-                    row(&[
-                        round.to_string(),
-                        query.name.to_string(),
-                        case.name.clone(),
-                        counted.outcome.as_count().expect("count").to_string(),
-                        cache(counted.stats.cache_hit),
-                        us(counted.stats.matrix_build),
-                        us(counted.stats.task_time),
-                        cache(window.stats.cache_hit),
-                        us(window.stats.task_time),
-                        counted.stats.matrix_bytes.to_string(),
-                    ])
-                );
+                row(&[
+                    round.to_string(),
+                    query.name.to_string(),
+                    case.name.clone(),
+                    counted.outcome.as_count().expect("count").to_string(),
+                    cache(counted.stats.cache_hit),
+                    us(counted.stats.matrix_build),
+                    us(counted.stats.task_time),
+                    cache(window.stats.cache_hit),
+                    us(window.stats.task_time),
+                    counted.stats.matrix_bytes.to_string(),
+                ]);
             }
         }
     }
@@ -510,21 +512,18 @@ fn e10_sharding() {
         };
         let mono = monolithic.run(&request).expect("monolithic count");
         let mono_count = mono.outcome.as_count().expect("count");
-        println!(
-            "{}",
-            row(&[
-                case.name.clone(),
-                case.slp.document_len().to_string(),
-                case.slp.size().to_string(),
-                "1".to_string(),
-                case.slp.size().to_string(),
-                us(mono.stats.matrix_build),
-                "-".to_string(),
-                "-".to_string(),
-                "-".to_string(),
-                mono_count.to_string(),
-            ])
-        );
+        row(&[
+            case.name.clone(),
+            case.slp.document_len().to_string(),
+            case.slp.size().to_string(),
+            "1".to_string(),
+            case.slp.size().to_string(),
+            us(mono.stats.matrix_build),
+            "-".to_string(),
+            "-".to_string(),
+            "-".to_string(),
+            mono_count.to_string(),
+        ]);
         for (k, sharded) in &case.sharded {
             let shards_size: usize = sharded.shards().iter().map(|s| s.size()).sum();
             let service = Service::new();
@@ -545,21 +544,18 @@ fn e10_sharding() {
             let stats = response
                 .shard_stats
                 .expect("cold sharded builds report shard stats");
-            println!(
-                "{}",
-                row(&[
-                    case.name.clone(),
-                    case.slp.document_len().to_string(),
-                    case.slp.size().to_string(),
-                    k.to_string(),
-                    shards_size.to_string(),
-                    us(mono.stats.matrix_build),
-                    us(stats.total()),
-                    us(stats.critical_path()),
-                    stats.deduped.to_string(),
-                    "yes".to_string(),
-                ])
-            );
+            row(&[
+                case.name.clone(),
+                case.slp.document_len().to_string(),
+                case.slp.size().to_string(),
+                k.to_string(),
+                shards_size.to_string(),
+                us(mono.stats.matrix_build),
+                us(stats.total()),
+                us(stats.critical_path()),
+                stats.deduped.to_string(),
+                "yes".to_string(),
+            ]);
         }
     }
     println!(
@@ -568,146 +564,6 @@ fn e10_sharding() {
          cuts shards into equal sub-grammars, so all but one pass is shared; the \
          pseudo-random block document has nothing to share.)\n"
     );
-}
-
-/// E12 — distributed shard execution: the same scatter-gather builds run
-/// on the in-process `LocalExecutor` vs `RemoteExecutor` pools of 2 and 4
-/// `--worker` processes, plus the wire cost — serialized shard blocks out
-/// (scatter), summary rows back (gather) — against what shipping the raw
-/// document text to every worker would move.
-///
-/// On loopback the remote critical path is dominated by frame codec +
-/// syscalls, so the table is about *what crosses the wire* and the safety
-/// of the fallback, not about beating the local pass on one machine: the
-/// compressible power document ships kilobytes for a megabyte of text,
-/// while the block document's summaries are the honest price of
-/// distributing an incompressible grammar.
-fn e12() {
-    use spanner_server::{RemoteExecutor, Server, ServerConfig};
-    use spanner_slp_core::{LocalExecutor, ShardExecutor};
-    use std::sync::Arc;
-
-    println!("## E12 — distributed shard execution: local vs remote workers\n");
-    let workers: Vec<Server> = (0..4)
-        .map(|_| {
-            Server::bind(
-                "127.0.0.1:0",
-                Service::new(),
-                ServerConfig {
-                    worker: true,
-                    ..ServerConfig::default()
-                },
-            )
-            .expect("bind worker")
-        })
-        .collect();
-    let addrs: Vec<String> = workers.iter().map(|w| w.local_addr().to_string()).collect();
-
-    header(&[
-        "document",
-        "d",
-        "size(S)",
-        "k",
-        "backend",
-        "critical path (µs)",
-        "total (µs)",
-        "fallbacks",
-        "scatter (B)",
-        "gather (B)",
-        "text (B)",
-    ]);
-    let query = queries::ab_blocks();
-    // One long-lived pool client per pool size, shared across the table —
-    // exactly how a front-end holds its pool — so only the very first
-    // build pays connection establishment.
-    let remote2 = Arc::new(RemoteExecutor::new(addrs[..2].to_vec()));
-    let remote4 = Arc::new(RemoteExecutor::new(addrs.clone()));
-    let mut cases = corpus::sharded_power_family(b"ab", &[1 << 20], &[4]);
-    cases.push(corpus::sharded_block_document(1 << 14, 64, 1.0, 9, &[4]));
-    // Warm the pool connections with a throwaway build.
-    {
-        let warm = corpus::sharded_power_family(b"ab", &[64], &[4]).remove(0);
-        for executor in [remote2.clone(), remote4.clone()] {
-            let service = Service::builder()
-                .shard_executor(executor as Arc<dyn ShardExecutor>)
-                .build();
-            let q = service.add_query(&query.automaton);
-            let d = service.add_prepared_document(PreparedDocument::sharded_precut(
-                &warm.slp,
-                &warm.sharded[0].1,
-            ));
-            service
-                .run(&TaskRequest {
-                    query: q,
-                    doc: d,
-                    task: Task::Count,
-                })
-                .expect("warm-up build");
-        }
-    }
-    for case in &cases {
-        let (k, sharded) = &case.sharded[0];
-        for backend in ["local", "remote x2", "remote x4"] {
-            let remote: Option<&Arc<RemoteExecutor>> = match backend {
-                "local" => None,
-                "remote x2" => Some(&remote2),
-                _ => Some(&remote4),
-            };
-            let executor: Arc<dyn ShardExecutor> = match remote {
-                Some(r) => r.clone(),
-                None => Arc::new(LocalExecutor),
-            };
-            let before = remote.map(|r| (r.scatter_bytes(), r.gather_bytes(), r.fallback_count()));
-            let service = Service::builder().shard_executor(executor).build();
-            let q = service.add_query(&query.automaton);
-            let d =
-                service.add_prepared_document(PreparedDocument::sharded_precut(&case.slp, sharded));
-            let response = service
-                .run(&TaskRequest {
-                    query: q,
-                    doc: d,
-                    task: Task::Count,
-                })
-                .expect("sharded count");
-            let stats = response
-                .shard_stats
-                .expect("cold sharded builds report shard stats");
-            let (scatter, gather, fallbacks) = match (remote, before) {
-                (Some(r), Some((s0, g0, f0))) => (
-                    (r.scatter_bytes() - s0).to_string(),
-                    (r.gather_bytes() - g0).to_string(),
-                    (r.fallback_count() - f0).to_string(),
-                ),
-                _ => ("-".into(), "-".into(), "0".into()),
-            };
-            println!(
-                "{}",
-                row(&[
-                    case.name.clone(),
-                    case.slp.document_len().to_string(),
-                    case.slp.size().to_string(),
-                    k.to_string(),
-                    backend.to_string(),
-                    us(stats.critical_path()),
-                    us(stats.total()),
-                    fallbacks,
-                    scatter,
-                    gather,
-                    case.slp.document_len().to_string(),
-                ])
-            );
-        }
-    }
-    println!(
-        "\n(scatter = varint-packed standalone shard blocks + query automata; gather = \
-         three-valued summary rows as packed bitplanes, 2 bits per entry (base64 on \
-         the wire).  Shipping the raw text instead would move the full `text (B)` \
-         column to every worker that touches the document — and the full marker-set \
-         matrices never cross the wire in either direction.)\n"
-    );
-    for worker in workers {
-        worker.shutdown_and_join();
-    }
 }
 
 /// E15 — the self-managing fleet: content-addressed scatter collapse on
@@ -779,20 +635,17 @@ fn e15() {
         let s1 = executor.scatter_bytes();
         build(&executor, &case.slp, sharded);
         let warm = executor.scatter_bytes() - s1;
-        println!(
-            "{}",
-            row(&[
-                case.name.clone(),
-                case.slp.document_len().to_string(),
-                case.slp.size().to_string(),
-                k.to_string(),
-                cold.to_string(),
-                warm.to_string(),
-                format!("{:.1}x", cold as f64 / warm.max(1) as f64),
-                (executor.hash_only_pass_count() - h0).to_string(),
-                (executor.renegotiation_count() - r0).to_string(),
-            ])
-        );
+        row(&[
+            case.name.clone(),
+            case.slp.document_len().to_string(),
+            case.slp.size().to_string(),
+            k.to_string(),
+            cold.to_string(),
+            warm.to_string(),
+            format!("{:.1}x", cold as f64 / warm.max(1) as f64),
+            (executor.hash_only_pass_count() - h0).to_string(),
+            (executor.renegotiation_count() - r0).to_string(),
+        ]);
     }
     println!(
         "\n(The warm re-build ships content hashes instead of block bytes: the \
@@ -911,18 +764,15 @@ fn e15() {
         latencies.sort_unstable();
         let p50 = latencies[latencies.len() / 2];
         let p99 = latencies[(latencies.len() * 99 / 100).min(latencies.len() - 1)];
-        println!(
-            "{}",
-            row(&[
-                name.to_string(),
-                latencies.len().to_string(),
-                us(p50),
-                us(p99),
-                executor.hedge_count().to_string(),
-                executor.hedge_win_count().to_string(),
-                executor.fallback_count().to_string(),
-            ])
-        );
+        row(&[
+            name.to_string(),
+            latencies.len().to_string(),
+            us(p50),
+            us(p99),
+            executor.hedge_count().to_string(),
+            executor.hedge_win_count().to_string(),
+            executor.fallback_count().to_string(),
+        ]);
     }
     println!(
         "\n(Each build uses a distinct document, so rendezvous placement varies \
@@ -960,10 +810,7 @@ fn e9() {
                 .count()
         });
         assert_eq!(r, r2);
-        println!(
-            "{}",
-            row(&[case.name.clone(), r.to_string(), us(t_compute), us(t_enum)])
-        );
+        row(&[case.name.clone(), r.to_string(), us(t_compute), us(t_enum)]);
     }
     println!();
 }
@@ -1039,16 +886,13 @@ fn e13() {
             });
             let per_scalar = t_scalar.as_secs_f64() * 1e6 / iters as f64;
             let per_packed = t_packed.as_secs_f64() * 1e6 / iters as f64;
-            println!(
-                "{}",
-                row(&[
-                    q.to_string(),
-                    workload.to_string(),
-                    format!("{per_scalar:.3}"),
-                    format!("{per_packed:.3}"),
-                    format!("{:.1}x", per_scalar / per_packed),
-                ])
-            );
+            row(&[
+                q.to_string(),
+                workload.to_string(),
+                format!("{per_scalar:.3}"),
+                format!("{per_packed:.3}"),
+                format!("{:.1}x", per_scalar / per_packed),
+            ]);
         }
     }
 
@@ -1059,15 +903,12 @@ fn e13() {
     println!("\n### end-to-end effect on the product-bound builds\n");
     header(&["experiment", "workload", "v5 seed (µs)", "this build (µs)"]);
     let report = |experiment: &str, workload: &str, seed_us: &str, t: std::time::Duration| {
-        println!(
-            "{}",
-            row(&[
-                experiment.to_string(),
-                workload.to_string(),
-                seed_us.to_string(),
-                us(t),
-            ])
-        );
+        row(&[
+            experiment.to_string(),
+            workload.to_string(),
+            seed_us.to_string(),
+            us(t),
+        ]);
     };
 
     let log_query = queries::log_error_value().automaton;
@@ -1137,6 +978,7 @@ fn e13() {
 fn e14() {
     use spanner_server::{Client, PersistenceOptions, Server, ServerConfig, ServerOptions};
     use std::path::PathBuf;
+    use std::time::Instant;
 
     println!("## E14 — durable store: cold boot vs log/snapshot replay\n");
     header(&[
@@ -1210,12 +1052,13 @@ fn e14() {
             server.join();
         }
 
-        // Restart 1: replay the full log.
+        // Restart 1: replay the full log.  Boots are timed once with
+        // `Instant`: `time` would boot several servers on one data dir.
         let (t_log, probes) = {
-            let (t, server) = time(|| {
-                Server::bind_with("127.0.0.1:0", Service::new(), durable(dir.clone(), 0))
-                    .expect("rebind on log")
-            });
+            let started = Instant::now();
+            let server = Server::bind_with("127.0.0.1:0", Service::new(), durable(dir.clone(), 0))
+                .expect("rebind on log");
+            let t = started.elapsed();
             let probes = server.service().auto_probe_count();
             assert_eq!(server.recovery().expect("recovered").documents, docs as u64);
             server.shutdown_and_join();
@@ -1233,10 +1076,10 @@ fn e14() {
             server.join();
         }
         let (t_snap, from_snapshot) = {
-            let (t, server) = time(|| {
-                Server::bind_with("127.0.0.1:0", Service::new(), durable(dir.clone(), 0))
-                    .expect("rebind on snapshot")
-            });
+            let started = Instant::now();
+            let server = Server::bind_with("127.0.0.1:0", Service::new(), durable(dir.clone(), 0))
+                .expect("rebind on snapshot");
+            let t = started.elapsed();
             let from_snapshot = server.recovery().expect("recovered").from_snapshot;
             server.shutdown_and_join();
             (t, from_snapshot)
@@ -1244,21 +1087,18 @@ fn e14() {
         assert!(from_snapshot, "the cut snapshot must drive the last boot");
         let _ = std::fs::remove_dir_all(&dir);
 
-        println!(
-            "{}",
-            row(&[
-                docs.to_string(),
-                (corpus_bytes / 1024).to_string(),
-                ms(t_cold),
-                ms(t_log),
-                ms(t_snap),
-                format!(
-                    "{:.1}",
-                    corpus_bytes as f64 / 1e6 / t_log.as_secs_f64().max(1e-9)
-                ),
-                probes.to_string(),
-            ])
-        );
+        row(&[
+            docs.to_string(),
+            (corpus_bytes / 1024).to_string(),
+            ms(t_cold),
+            ms(t_log),
+            ms(t_snap),
+            format!(
+                "{:.1}",
+                corpus_bytes as f64 / 1e6 / t_log.as_secs_f64().max(1e-9)
+            ),
+            probes.to_string(),
+        ]);
     }
     println!(
         "\n(Replay re-registers each document at its recorded shard count — the \
@@ -1436,18 +1276,15 @@ fn e16() {
         };
         let hits = series(&scrape, "spanner_cache_hits_total");
         let lookups = hits + series(&scrape, "spanner_cache_misses_total");
-        println!(
-            "{}",
-            row(&[
-                label.to_string(),
-                tenant(LIGHT, "count").to_string(),
-                tenant(LIGHT, "p50").to_string(),
-                tenant(LIGHT, "p95").to_string(),
-                tenant(LIGHT, "p99").to_string(),
-                tenant(HEAVY, "p99").to_string(),
-                format!("{:.0}%", 100.0 * hits as f64 / lookups.max(1) as f64),
-            ])
-        );
+        row(&[
+            label.to_string(),
+            tenant(LIGHT, "count").to_string(),
+            tenant(LIGHT, "p50").to_string(),
+            tenant(LIGHT, "p95").to_string(),
+            tenant(LIGHT, "p99").to_string(),
+            tenant(HEAVY, "p99").to_string(),
+            format!("{:.0}%", 100.0 * hits as f64 / lookups.max(1) as f64),
+        ]);
         admin.shutdown().expect("shutdown");
         server.join();
     }
@@ -1602,22 +1439,19 @@ fn e17() {
         assert_eq!(shed, 0);
         check_p99[row_i] = kind("model_check", "p99");
         scan_rate[row_i] = scans_total as f64 / wall.as_secs_f64();
-        println!(
-            "{}",
-            row(&[
-                if fifo {
-                    "FIFO (single class)"
-                } else {
-                    "weighted-fair"
-                }
-                .to_string(),
-                kind("model_check", "p50").to_string(),
-                check_p99[row_i].to_string(),
-                kind("enumerate", "p99").to_string(),
-                format!("{:.1}", scan_rate[row_i]),
-                format!("{:.2}", wall.as_secs_f64()),
-            ])
-        );
+        row(&[
+            if fifo {
+                "FIFO (single class)"
+            } else {
+                "weighted-fair"
+            }
+            .to_string(),
+            kind("model_check", "p50").to_string(),
+            check_p99[row_i].to_string(),
+            kind("enumerate", "p99").to_string(),
+            format!("{:.1}", scan_rate[row_i]),
+            format!("{:.2}", wall.as_secs_f64()),
+        ]);
         admin.shutdown().expect("shutdown");
         server.join();
     }

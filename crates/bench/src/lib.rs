@@ -1,9 +1,9 @@
 //! # spanner-bench — shared harness for the experiment suite
 //!
-//! Workload construction and measurement helpers shared by the Criterion
-//! benches (`benches/e*.rs`) and by the `experiments` report binary, which
-//! regenerates every table of EXPERIMENTS.md.  The experiment ids (E1–E11)
-//! are defined in DESIGN.md §6.
+//! Workload construction and measurement helpers for the `experiments`
+//! report binary, which regenerates every table of EXPERIMENTS.md, and for
+//! the delay and equivalence tests.  The experiment ids are defined in
+//! DESIGN.md §7.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 /// A named compressed document used as a benchmark case.
 pub struct DocCase {
-    /// Human-readable case name (used as the Criterion / table id).
+    /// Human-readable case name (used as the table id).
     pub name: String,
     /// The compressed document.
     pub slp: NormalFormSlp<u8>,
@@ -111,11 +111,31 @@ pub fn random_byte_nfa(q: usize, seed: u64) -> Nfa<u8> {
     nfa
 }
 
-/// Wall-clock timing of a closure.
+/// Fewest timed runs per [`time`] measurement, however slow each run is.
+const MIN_SAMPLES: usize = 3;
+/// Most timed runs per [`time`] measurement.
+const MAX_SAMPLES: usize = 15;
+/// Timed runs stop at `MIN_SAMPLES` once they have used this much time.
+const SAMPLE_BUDGET: Duration = Duration::from_millis(100);
+
+/// Wall-clock timing of a closure: one untimed warm-up run (allocator,
+/// caches, lazily built tables), then the median of 3 to 15 timed runs, as
+/// many as fit in 100 ms.  Returns the median and the last run's result;
+/// results are dropped outside the timed window.
 pub fn time<R>(mut f: impl FnMut() -> R) -> (Duration, R) {
-    let start = Instant::now();
-    let r = f();
-    (start.elapsed(), r)
+    let mut last = f();
+    let mut samples = Vec::with_capacity(MAX_SAMPLES);
+    let budget = Instant::now();
+    while samples.len() < MIN_SAMPLES
+        || (samples.len() < MAX_SAMPLES && budget.elapsed() < SAMPLE_BUDGET)
+    {
+        let start = Instant::now();
+        let r = f();
+        samples.push(start.elapsed());
+        last = r;
+    }
+    samples.sort_unstable();
+    (samples[samples.len() / 2], last)
 }
 
 /// Delay statistics of an enumeration: time-to-first result, maximum and
@@ -175,8 +195,8 @@ pub fn us(d: Duration) -> String {
 }
 
 /// Prints a markdown table row.
-pub fn row(cells: &[String]) -> String {
-    format!("| {} |", cells.join(" | "))
+pub fn row(cells: &[String]) {
+    println!("| {} |", cells.join(" | "));
 }
 
 #[cfg(test)]
@@ -209,6 +229,21 @@ mod tests {
         let b = random_byte_nfa(8, 1);
         assert_eq!(a.num_transitions(), b.num_transitions());
         assert_eq!(a.num_states(), 8);
+    }
+
+    #[test]
+    fn time_warms_up_then_takes_the_median_of_at_least_three_runs() {
+        let mut runs = 0;
+        let (_, last) = time(|| {
+            runs += 1;
+            runs
+        });
+        assert_eq!(last, runs, "the last run's result is returned");
+        assert!(
+            runs > MIN_SAMPLES,
+            "a warm-up plus {MIN_SAMPLES} timed runs"
+        );
+        assert!(runs <= MAX_SAMPLES + 1);
     }
 
     #[test]

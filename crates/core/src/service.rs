@@ -471,12 +471,11 @@ struct DocOwner {
 struct ServiceConfig {
     cache_budget: Option<usize>,
     determinize: bool,
-    parallel: bool,
     shard_executor: Arc<dyn ShardExecutor>,
 }
 
-/// Builder for a [`Service`]: cache budget, determinisation policy,
-/// parallelism toggle, shard execution backend.
+/// Builder for a [`Service`]: cache budget, determinisation policy, shard
+/// execution backend.
 #[derive(Debug, Clone)]
 pub struct ServiceBuilder {
     config: ServiceConfig,
@@ -488,7 +487,6 @@ impl Default for ServiceBuilder {
             config: ServiceConfig {
                 cache_budget: None,
                 determinize: true,
-                parallel: true,
                 shard_executor: Arc::new(LocalExecutor),
             },
         }
@@ -497,7 +495,7 @@ impl Default for ServiceBuilder {
 
 impl ServiceBuilder {
     /// Starts from the defaults: unbounded caches, determinising query
-    /// registration, parallel batches.
+    /// registration, local shard execution.
     pub fn new() -> Self {
         Self::default()
     }
@@ -528,13 +526,6 @@ impl ServiceBuilder {
     /// other tasks work unchanged.
     pub fn determinize(mut self, yes: bool) -> Self {
         self.config.determinize = yes;
-        self
-    }
-
-    /// Enables or disables the thread fan-out in [`Service::run_batch`]
-    /// (default on; only effective with the `parallel` feature).
-    pub fn parallel(mut self, yes: bool) -> Self {
-        self.config.parallel = yes;
         self
     }
 
@@ -1343,9 +1334,9 @@ impl Service {
         }
     }
 
-    /// Serves a batch of requests, fanning out across a thread scope (with
-    /// the `parallel` feature and unless disabled via
-    /// [`ServiceBuilder::parallel`]).  Responses are in request order.
+    /// Serves a batch of requests, fanning out across a thread scope with
+    /// the `parallel` feature (one request after another without it).
+    /// Responses are in request order.
     ///
     /// Requests sharing a (query, document) pair deduplicate through the
     /// matrix cache.  Pairs that occur more than once in the batch have
@@ -1355,7 +1346,7 @@ impl Service {
     /// distinct cold pairs still build fully in parallel.
     pub fn run_batch(&self, requests: &[TaskRequest]) -> Vec<Result<TaskResponse, EvalError>> {
         #[cfg(feature = "parallel")]
-        if self.config.parallel {
+        {
             let mut occurrences: std::collections::HashMap<(usize, usize), usize> =
                 std::collections::HashMap::new();
             for request in requests {
@@ -1380,9 +1371,12 @@ impl Service {
                     self.sweep_if_removed(DocumentId(d), &document, &lookup);
                 }
             }
-            return rayon::par_map(requests, |request| self.run(request));
+            rayon::par_map(requests, |request| self.run(request))
         }
-        requests.iter().map(|request| self.run(request)).collect()
+        #[cfg(not(feature = "parallel"))]
+        {
+            requests.iter().map(|request| self.run(request)).collect()
+        }
     }
 
     /// Serves one [`Task::Enumerate`] request *streamed*: results are

@@ -690,7 +690,9 @@ type AttemptReply = (
 /// span anchored at the attempt's issue offset (request timebase), with
 /// the worker's fragment re-based under it — the worker clock starts at
 /// its frame receipt, so adding the issue offset places its spans inside
-/// the rpc window (wire latency shows up as the gap on either side).
+/// the rpc window (wire latency shows up as the gap on either side).  A
+/// worker sees a standalone block and labels its pass shard 0, so the
+/// grafted spans take the coordinator's shard index.
 fn rpc_spans(
     trace: Option<ShardTrace>,
     shard: usize,
@@ -715,6 +717,11 @@ fn rpc_spans(
         ],
     }];
     trace::graft(&mut spans, fragment, Some(0), issue_us);
+    for (key, value) in spans[1..].iter_mut().flat_map(|span| &mut span.attrs) {
+        if key == "shard" {
+            *value = shard.to_string();
+        }
+    }
     spans
 }
 

@@ -1,8 +1,8 @@
 //! # spanner-workloads — documents and queries for the experiments
 //!
-//! Generators for the documents and spanner queries used by the benchmark
-//! suite (experiments E1–E11 in DESIGN.md) and by the examples, plus the
-//! request-traffic schedules of the serving experiment (E11, [`traffic`]).
+//! Generators for the documents and spanner queries used by the experiments
+//! (DESIGN.md §7), perfbench and the examples, plus the request-traffic
+//! schedules of the serving experiments and perfbench ([`traffic`]).
 //! The paper has no empirical section, so these workloads are designed to
 //! exercise the parameters its complexity bounds depend on: the SLP size
 //! `s`, the SLP depth, the document length `d`, the number of variables

@@ -1,6 +1,6 @@
-//! Traffic generation for the serving experiments (E11) and smoke tests:
-//! deterministic open- and closed-loop request schedules over a pool of
-//! registered queries and documents.
+//! Traffic generation for the serving experiments (E16, E17), perfbench and
+//! smoke tests: deterministic open- and closed-loop request schedules over a
+//! pool of registered queries and documents.
 //!
 //! A schedule is transport-agnostic: it names *which* pooled query and
 //! document to hit and *what kind* of task to run, leaving the mapping to
@@ -76,40 +76,6 @@ impl Mix {
         Mix { entries }
     }
 
-    /// An interactive, cache-friendly mix: mostly cheap point lookups
-    /// (non-emptiness, counting), some model checks, a few small
-    /// enumeration windows.
-    pub fn read_heavy() -> Mix {
-        Mix::new([
-            (OpKind::NonEmptiness, 40),
-            (OpKind::Count, 30),
-            (OpKind::ModelCheck, 15),
-            (
-                OpKind::Enumerate {
-                    skip: 0,
-                    limit: Some(10),
-                },
-                15,
-            ),
-        ])
-    }
-
-    /// A scan-heavy mix: materialisation and larger enumeration windows
-    /// dominate — the regime in which streaming pages matter.
-    pub fn scan_heavy() -> Mix {
-        Mix::new([
-            (OpKind::Compute { limit: Some(256) }, 40),
-            (
-                OpKind::Enumerate {
-                    skip: 0,
-                    limit: Some(128),
-                },
-                40,
-            ),
-            (OpKind::Count, 20),
-        ])
-    }
-
     /// The mixed-priority QoS mix (E17): mostly latency-sensitive model
     /// checks with a steady minority of large enumeration scans — the
     /// regime in which a FIFO pipeline lets one scan head-of-line-block a
@@ -125,11 +91,6 @@ impl Mix {
                 30,
             ),
         ])
-    }
-
-    /// The kinds with positive weight.
-    pub fn kinds(&self) -> impl Iterator<Item = OpKind> + '_ {
-        self.entries.iter().map(|(kind, _)| *kind)
     }
 
     fn sample(&self, rng: &mut StdRng) -> OpKind {
@@ -262,7 +223,18 @@ mod tests {
 
     #[test]
     fn schedules_are_deterministic_per_seed() {
-        let mix = Mix::read_heavy();
+        let mix = Mix::new([
+            (OpKind::NonEmptiness, 40),
+            (OpKind::Count, 30),
+            (OpKind::ModelCheck, 15),
+            (
+                OpKind::Enumerate {
+                    skip: 0,
+                    limit: Some(10),
+                },
+                15,
+            ),
+        ]);
         let a = closed_loop_schedule(3, 4, &mix, 500, 42);
         let b = closed_loop_schedule(3, 4, &mix, 500, 42);
         assert_eq!(a, b);
@@ -304,12 +276,26 @@ mod tests {
         let profiles = [
             TenantProfile {
                 weight: 3,
-                mix: Mix::scan_heavy(),
+                mix: Mix::new([
+                    (OpKind::Compute { limit: Some(256) }, 40),
+                    (
+                        OpKind::Enumerate {
+                            skip: 0,
+                            limit: Some(128),
+                        },
+                        40,
+                    ),
+                    (OpKind::Count, 20),
+                ]),
                 num_docs: 5,
             },
             TenantProfile {
                 weight: 1,
-                mix: Mix::read_heavy(),
+                mix: Mix::new([
+                    (OpKind::NonEmptiness, 40),
+                    (OpKind::Count, 30),
+                    (OpKind::ModelCheck, 15),
+                ]),
                 num_docs: 2,
             },
         ];
@@ -341,7 +327,7 @@ mod tests {
             1,
             &[TenantProfile {
                 weight: 0,
-                mix: Mix::read_heavy(),
+                mix: Mix::new([(OpKind::Count, 1)]),
                 num_docs: 1,
             }],
             10,

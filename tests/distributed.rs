@@ -49,7 +49,7 @@ fn documents() -> Vec<NormalFormSlp<u8>> {
     ]
 }
 
-/// The acceptance criterion: for k ∈ {2, 4, 8} on the paper examples and a
+/// The acceptance check: for k ∈ {2, 4, 8} on the paper examples and a
 /// block-family document, a 2-worker `RemoteExecutor` build produces a
 /// `Preprocessed` entry-identical to `build_serial`, with every shard pass
 /// actually running remotely (no fallbacks).
@@ -110,7 +110,7 @@ fn two_worker_remote_builds_are_entry_identical_to_serial() {
     }
 }
 
-/// The wire-cost criterion: the gather leg carries only three-valued
+/// The wire-cost check: the gather leg carries only three-valued
 /// summaries (packed bitplanes, 2 bits per entry — never the marker-set
 /// matrices), and the scatter leg carries the compressed shard blocks —
 /// never the document text.
@@ -217,7 +217,7 @@ fn broken_worker(mode: Sabotage) -> SocketAddr {
     addr
 }
 
-/// The fault-path criterion: a worker killed mid-build and a worker
+/// The fault-path check: a worker killed mid-build and a worker
 /// returning malformed frames both fall back to `LocalExecutor` with an
 /// entry-identical `Preprocessed` and a recorded fallback count.
 #[test]

@@ -143,7 +143,7 @@ fn build_and_check(
     count
 }
 
-/// The headline negotiation criterion: re-building the same (query, doc)
+/// The headline negotiation check: re-building the same (query, doc)
 /// pair against a warm fleet ships ≥10× fewer scatter bytes than the cold
 /// build — the frames carry content hashes, not block bytes — and the
 /// workers serve the passes from their block caches.

@@ -56,7 +56,7 @@ fn register(client: &mut Client) -> (Vec<u64>, Vec<u64>) {
 
 #[test]
 fn every_task_is_transport_transparent() {
-    // The acceptance criterion: for every task variant, the payload through
+    // The acceptance check: for every task variant, the payload through
     // the server is identical to the direct `Service::run` result.
     let server = boot(ServerConfig::default());
     let mut client = Client::connect(server.local_addr()).unwrap();

@@ -134,18 +134,19 @@ fn concurrent_evaluation_matches_the_serial_reference() {
     );
 }
 
-/// `run_batch` fans the same mixed workload out across a thread scope and
-/// must agree with request-by-request serial runs.
+/// `run_batch` fans a mixed workload out across a thread scope (with the
+/// `parallel` feature) and must agree with request-by-request `run`s on a
+/// second service.
 #[test]
 fn run_batch_agrees_with_serial_runs() {
     let queries = pool_queries();
     let docs = pool_documents();
     let expected = reference(&queries, &docs);
 
-    let parallel = Service::new();
-    let serial = Service::builder().parallel(false).build();
+    let batched = Service::new();
+    let serial = Service::new();
     let mut requests_per = Vec::new();
-    for service in [&parallel, &serial] {
+    for service in [&batched, &serial] {
         let qids: Vec<QueryId> = queries.iter().map(|m| service.add_query(m)).collect();
         let dids: Vec<DocumentId> = docs.iter().map(|d| service.add_document(d)).collect();
         let mut requests = Vec::new();
@@ -173,17 +174,15 @@ fn run_batch_agrees_with_serial_runs() {
         requests_per.push(requests);
     }
 
-    let batches: Vec<Vec<_>> = [&parallel, &serial]
+    let reqs: Vec<TaskRequest> = requests_per[0].iter().map(|(_, r)| r.clone()).collect();
+    let batch = batched.run_batch(&reqs);
+    let one_by_one: Vec<_> = requests_per[1]
         .iter()
-        .zip(&requests_per)
-        .map(|(service, requests)| {
-            let reqs: Vec<TaskRequest> = requests.iter().map(|(_, r)| r.clone()).collect();
-            service.run_batch(&reqs)
-        })
+        .map(|(_, request)| serial.run(request))
         .collect();
 
-    for (requests, batch) in requests_per.iter().zip(batches) {
-        for (((qi, di), request), response) in requests.iter().zip(batch) {
+    for (requests, responses) in requests_per.iter().zip([batch, one_by_one]) {
+        for (((qi, di), request), response) in requests.iter().zip(responses) {
             let response = response.unwrap();
             match request.task {
                 Task::Count => {

@@ -174,6 +174,11 @@ fn remote_sharded_builds_stitch_worker_fragments_into_the_tree() {
             shard_of(rpc)
         );
     }
+    // ... and carries that shard's label, not the worker's local index.
+    for pass in &passes {
+        let parent = &spans[pass.parent.expect("grafted") as usize];
+        assert_eq!(shard_of(pass), shard_of(parent), "{spans:?}");
+    }
     assert!(names(spans).contains(&"gather_products"), "{spans:?}");
 
     client.shutdown().unwrap();
