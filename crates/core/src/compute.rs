@@ -9,6 +9,16 @@
 //! (Lemma 6.8).  Sets are kept as `⪯`-sorted duplicate-free lists, so unions
 //! are merges and the `⊗` products stay sorted (appendix D).
 //!
+//! A cap `L` ([`compute_prefix_from_matrices`]) keeps every materialised
+//! list at its first `L` elements: leaf copies, `⊗` products, unions and
+//! the root union.  This is exact.  Left positions are `≤ |D(B)| <` right
+//! positions, so a product's `l`-major nested loops emit it sorted, and its
+//! first `L` elements use only each input's first `L`; a sorted union's
+//! first `L` elements likewise depend only on each input's first `L`.  So
+//! the capped pass returns exactly the first `L` tuples of `⟦M⟧(D)` in `⪯`
+//! order — though phase 1 and the (†)-entries of phase 2 are still all
+//! visited, whatever the cap.
+//!
 //! With the `parallel` feature (default on) the phase-2 materialisation
 //! runs level-parallel over the grammar's depth strata — the same wave
 //! schedule as the Lemma 6.5 matrix pass — producing values identical to
@@ -19,6 +29,7 @@ use crate::matrices::{Preprocessed, REntry};
 use crate::prepared::PreparedEvaluation;
 use slp::NormalFormSlp;
 use spanner::{PartialMarkerSet, SpanTuple, SpannerAutomaton};
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 
 /// Computes `⟦M⟧(D)` for the document derived by the SLP (Theorem 7.1).
@@ -41,10 +52,18 @@ pub fn compute_from_prepared(prepared: &PreparedEvaluation) -> Vec<SpanTuple> {
 /// Computes `⟦M⟧(D)` directly from the preprocessed matrices of a
 /// (query, document) pair — the engine-facing entry point.
 pub fn compute_from_matrices(pre: &Preprocessed) -> Vec<SpanTuple> {
+    compute_prefix_from_matrices(pre, None)
+}
+
+/// The first `limit` tuples of [`compute_from_matrices`]'s answer (all of
+/// them for `None`), with every list the pass materialises capped at
+/// `limit` (see the module docs for why this is exact).
+pub fn compute_prefix_from_matrices(pre: &Preprocessed, limit: Option<usize>) -> Vec<SpanTuple> {
+    let cap = limit.unwrap_or(usize::MAX);
     let start_nt = pre.start_nt;
     let q0 = pre.nfa_start;
     let final_states = pre.reachable_accepting();
-    if final_states.is_empty() {
+    if final_states.is_empty() || cap == 0 {
         return Vec::new();
     }
 
@@ -98,7 +117,7 @@ pub fn compute_from_matrices(pre: &Preprocessed) -> Vec<SpanTuple> {
     let mut values: HashMap<(u32, usize, usize), Vec<PartialMarkerSet>> = HashMap::new();
     for items in strata.iter().filter(|s| !s.is_empty()) {
         let materialise =
-            |&(a, i, j): &(u32, usize, usize)| materialise_entry(pre, &values, a, i, j);
+            |&(a, i, j): &(u32, usize, usize)| materialise_entry(pre, &values, a, i, j, cap);
         #[cfg(feature = "parallel")]
         let computed: Vec<Vec<PartialMarkerSet>> = if items.len() >= PHASE2_PAR_THRESHOLD {
             rayon::par_map(items, materialise)
@@ -119,7 +138,7 @@ pub fn compute_from_matrices(pre: &Preprocessed) -> Vec<SpanTuple> {
         .iter()
         .map(|&j| values.remove(&(start_nt, q0, j)).unwrap_or_default())
         .collect();
-    merge_sorted(roots)
+    merge_sorted(roots, cap)
         .into_iter()
         .map(|markers| {
             SpanTuple::from_marker_set(&markers, pre.num_vars)
@@ -133,20 +152,24 @@ pub fn compute_from_matrices(pre: &Preprocessed) -> Vec<SpanTuple> {
 #[cfg(feature = "parallel")]
 const PHASE2_PAR_THRESHOLD: usize = 16;
 
-/// One `M_A[i,j]` materialisation (Lemma 6.8): leaves copy their
-/// precomputed table cell, `⊥` entries are empty, and inner entries merge
-/// the `⊗`-products over `I_A[i,j]` — reading only values of strictly
-/// shallower rules, which is what makes the per-stratum waves of
-/// [`compute_from_matrices`] safe.
+/// One `M_A[i,j]` materialisation (Lemma 6.8), capped at its first `cap`
+/// elements: leaves copy their precomputed table cell, `⊥` entries are
+/// empty, and inner entries merge the `⊗`-products over `I_A[i,j]` —
+/// reading only values of strictly shallower rules, which is what makes
+/// the per-stratum waves of [`compute_prefix_from_matrices`] safe.
 fn materialise_entry(
     pre: &Preprocessed,
     values: &HashMap<(u32, usize, usize), Vec<PartialMarkerSet>>,
     a: u32,
     i: usize,
     j: usize,
+    cap: usize,
 ) -> Vec<PartialMarkerSet> {
     match pre.children[a as usize] {
-        None => pre.leaf_set(a, i, j).to_vec(),
+        None => {
+            let cell = pre.leaf_set(a, i, j);
+            cell[..cell.len().min(cap)].to_vec()
+        }
         Some((b, c)) => {
             if pre.r_entry(a, i, j) == REntry::Bot {
                 return Vec::new();
@@ -156,25 +179,30 @@ fn materialise_entry(
             for k in pre.i_set(a, i, j) {
                 let left = &values[&(b, i, k)];
                 let right = &values[&(c, k, j)];
-                parts.push(product(left, shift, right));
+                parts.push(product(left, shift, right, cap));
             }
-            merge_sorted(parts)
+            merge_sorted(parts, cap)
         }
     }
 }
 
-/// `K^k_A[i,j] = M_B[i,k] ⊗_s M_C[k,j]` (Definition 6.7).  Both inputs are
-/// `⪯`-sorted; by the order's compatibility with `⊗` (appendix D) the output
-/// produced by the nested loops is sorted as well, and by Lemma 6.9 it has
-/// no duplicates.
+/// The first `cap` elements of `K^k_A[i,j] = M_B[i,k] ⊗_s M_C[k,j]`
+/// (Definition 6.7).  Both inputs are `⪯`-sorted; by the order's
+/// compatibility with `⊗` (appendix D) the output produced by the
+/// `l`-major nested loops is sorted as well, and by Lemma 6.9 it has no
+/// duplicates.
 fn product(
     left: &[PartialMarkerSet],
     shift: u64,
     right: &[PartialMarkerSet],
+    cap: usize,
 ) -> Vec<PartialMarkerSet> {
-    let mut out = Vec::with_capacity(left.len() * right.len());
-    for l in left {
+    let mut out = Vec::with_capacity((left.len() * right.len()).min(cap));
+    'rows: for l in left {
         for r in right {
+            if out.len() == cap {
+                break 'rows;
+            }
             out.push(l.compose(shift, r));
         }
     }
@@ -182,43 +210,43 @@ fn product(
     out
 }
 
-/// Merges sorted duplicate-free lists into one sorted duplicate-free list
-/// (the paper's sorted-list unions).
-fn merge_sorted(mut parts: Vec<Vec<PartialMarkerSet>>) -> Vec<PartialMarkerSet> {
-    match parts.len() {
-        0 => Vec::new(),
-        1 => parts.pop().expect("checked length"),
-        _ => {
-            // Simple repeated two-way merge; the number of parts is at most
-            // q (or |F'|), so this stays within the stated bounds.
-            let mut acc = parts.pop().expect("checked length");
-            while let Some(next) = parts.pop() {
-                acc = merge_two(acc, next);
-            }
-            acc
-        }
+/// Merges sorted duplicate-free lists into the first `cap` elements of
+/// their sorted duplicate-free union (the paper's sorted-list unions).
+fn merge_sorted(mut parts: Vec<Vec<PartialMarkerSet>>, cap: usize) -> Vec<PartialMarkerSet> {
+    // Simple repeated two-way merge; the number of parts is at most q (or
+    // |F'|), so this stays within the stated bounds.
+    let mut acc = parts.pop().unwrap_or_default();
+    acc.truncate(cap);
+    while let Some(next) = parts.pop() {
+        acc = merge_two(acc, next, cap);
     }
+    acc
 }
 
-fn merge_two(a: Vec<PartialMarkerSet>, b: Vec<PartialMarkerSet>) -> Vec<PartialMarkerSet> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
+fn merge_two(
+    a: Vec<PartialMarkerSet>,
+    b: Vec<PartialMarkerSet>,
+    cap: usize,
+) -> Vec<PartialMarkerSet> {
+    let mut out = Vec::with_capacity((a.len() + b.len()).min(cap));
     let mut ia = a.into_iter().peekable();
     let mut ib = b.into_iter().peekable();
-    loop {
-        match (ia.peek(), ib.peek()) {
-            (Some(x), Some(y)) => {
-                if x < y {
-                    out.push(ia.next().expect("peeked"));
-                } else if y < x {
-                    out.push(ib.next().expect("peeked"));
-                } else {
-                    out.push(ia.next().expect("peeked"));
+    while out.len() < cap {
+        let next = match (ia.peek(), ib.peek()) {
+            (Some(x), Some(y)) => match x.cmp(y) {
+                Ordering::Less => ia.next(),
+                Ordering::Greater => ib.next(),
+                Ordering::Equal => {
                     ib.next();
+                    ia.next()
                 }
-            }
-            (Some(_), None) => out.push(ia.next().expect("peeked")),
-            (None, Some(_)) => out.push(ib.next().expect("peeked")),
-            (None, None) => break,
+            },
+            (Some(_), None) => ia.next(),
+            (None, _) => ib.next(),
+        };
+        match next {
+            Some(set) => out.push(set),
+            None => break,
         }
     }
     out
@@ -330,5 +358,45 @@ mod tests {
         let no = Bisection.compress(b"aab");
         assert_eq!(compute_all(&m, &yes).unwrap(), vec![SpanTuple::empty(0)]);
         assert!(compute_all(&m, &no).unwrap().is_empty());
+    }
+
+    #[test]
+    fn capped_compute_is_the_prefix_of_the_full_answer() {
+        // Each cap L must return exactly full[..min(L, r)], bit for bit, for
+        // deterministic and non-deterministic automata on every compressor.
+        let automata = [
+            figure_2_spanner(),
+            regex::compile_deterministic(".*x{a+}y{b+}.*", b"abc").unwrap(),
+            regex::compile(".*x{a+}y{b+}.*", b"abc").unwrap(),
+            regex::compile(".*x{a.*}.*", b"abc").unwrap(),
+            regex::compile("(x{a})?(b|c)*y{c}", b"abc").unwrap(),
+            regex::compile_deterministic(".*x{a*}y{b*}.*", b"abc").unwrap(),
+            regex::compile_deterministic("(a|b|c)*abb", b"abc").unwrap(),
+        ];
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let mut cases = 0;
+        for m in &automata {
+            for _ in 0..10 {
+                let len = 1 + (next() % 24) as usize;
+                let doc: Vec<u8> = (0..len).map(|_| b"abc"[(next() % 3) as usize]).collect();
+                for compressor in [&Bisection as &dyn Compressor, &RePair::default(), &Chain] {
+                    let prepared = PreparedEvaluation::new(m, &compressor.compress(&doc)).unwrap();
+                    let full = compute_from_prepared(&prepared);
+                    let r = full.len();
+                    for cap in [0, 1, 2, 3, 5, 8, 13, 64, r, r + 1] {
+                        let got = compute_prefix_from_matrices(&prepared.pre, Some(cap));
+                        assert_eq!(got, full[..cap.min(r)], "cap {cap}, doc {doc:?}");
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 2_100);
     }
 }

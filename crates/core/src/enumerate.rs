@@ -5,19 +5,29 @@
 //! The algorithm enumerates `(M,S)`-trees (Section 8): small ordered binary
 //! trees (at most `4·|X|·depth(S)` nodes, Lemma 8.4) that describe *which*
 //! intermediate automaton states an accepting run passes through at the
-//! boundaries of the SLP's non-terminals.  Every tree is produced by the
-//! recursive generator `EnumAll` (Algorithm 1); the partial marker sets in a
-//! tree's *yield* (Definition 8.1) are then read off by combining the
+//! boundaries of the SLP's non-terminals.  The partial marker sets in a
+//! tree's *yield* (Definition 8.1) are read off by combining the
 //! precomputed leaf tables `M_{T_x}` with the position shifts stored on the
 //! tree's right-child arcs (Lemma 8.5).  For deterministic automata the
 //! yields of distinct trees are disjoint (Lemma 8.8), so the enumeration is
 //! duplicate-free.
+//!
+//! Algorithm 1's recursive generator `EnumAll` runs here as one
+//! explicit-stack cursor.  The current tree is a pre-order vector of
+//! frames, one per inner node `A⟨i▷k▷j⟩`, each holding its current choices
+//! `kb ∈ Ī_B[i,k]` and `kc ∈ Ī_C[k,j]`.  Algorithm 1's loop nest — `kb`
+//! outermost, then `kc`, then the left subtree's trees, then the right
+//! subtree's — is the lexicographic order of these pre-order choice
+//! sequences.  So the next tree comes from advancing the last frame whose
+//! choice can move on and rebuilding everything after it with first trees.
+//! The yield is an odometer over the terminal leaves' lists.  Nothing
+//! recurses, and a result allocates only the returned tuple.
 
 use crate::error::EvalError;
 use crate::matrices::{Preprocessed, REntry};
 use crate::prepared::PreparedEvaluation;
 use slp::NormalFormSlp;
-use spanner::{PartialMarkerSet, SpanTuple, SpannerAutomaton};
+use spanner::{PartialMarkerSet, Span, SpanTuple, SpannerAutomaton};
 
 /// An enumerator for `⟦M⟧(D)` over an SLP-compressed document.
 ///
@@ -75,33 +85,63 @@ impl Enumerator {
     }
 }
 
-/// An `(M,S)`-tree (Section 8), reduced to exactly the information its yield
-/// needs: terminal leaves carry the `(T_x, i, j)` triple addressing the
-/// precomputed list `M_{T_x}[i,j]`, inner nodes carry the shift `|D(B)|`
-/// stored on the arc to their right child.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Tree {
-    /// `A⟨i▷j, ℮⟩`: yield `{∅}`.
-    EmptyLeaf,
-    /// `T_x⟨i▷j, 1⟩`: yield `M_{T_x}[i,j]`.
-    TerminalLeaf { nt: u32, i: usize, j: usize },
-    /// `A⟨i▷k▷j⟩` with children for `B` (left) and `C` (right).
-    Inner {
-        shift: u64,
-        left: Box<Tree>,
-        right: Box<Tree>,
-    },
+/// The paper's `base` element of `Ī_A[i,j]`: the node is a leaf of the
+/// `(M,S)`-tree (a leaf non-terminal, or an entry with `R_A[i,j] = ℮`).
+const BASE: u32 = u32::MAX;
+
+/// The root's parent index.
+const NO_PARENT: u32 = u32::MAX;
+
+/// An `(M,S)`-tree node `A⟨i▷k▷j⟩` (`k = BASE` for a leaf) with the
+/// position shift of its subtree and its place under its parent frame.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    a: u32,
+    i: u32,
+    k: u32,
+    j: u32,
+    /// Sum of the arc labels `|D(B)|` on the root-to-node path.
+    offset: u64,
+    /// Index of the parent frame ([`NO_PARENT`] for the root).
+    parent: u32,
+    /// `true` if the node is its parent's left child.
+    left: bool,
+}
+
+/// An inner node of the current tree with its current choices.
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    node: Node,
+    /// Current element of `Ī_B[i,k]`: the left child's `k`.
+    kb: u32,
+    /// Current element of `Ī_C[k,j]`: the right child's `k`.
+    kc: u32,
+    /// Number of terminal leaves before this frame in pre-order.
+    leaves_before: u32,
 }
 
 /// The lazily evaluated enumeration of `⟦M⟧(D)`.
 pub struct Enumeration<'a> {
-    num_vars: usize,
-    /// Outer iterator over `(M, S₀)`-trees (EnumSingleRoot for every
-    /// `j ∈ F'` and `k ∈ Ī_{S₀}[q₀, j]`, Theorem 8.10).
-    trees: Box<dyn Iterator<Item = Tree> + 'a>,
-    /// Yield odometer of the current tree (EnumSingleTree).
-    current: Option<YieldIter<'a>>,
     pre: &'a Preprocessed,
+    /// `F'`, the reachable accepting states (Theorem 8.10).
+    finals: Vec<usize>,
+    /// Index into `finals` of the current root's `j`.
+    root_final: usize,
+    /// The current root's element of `Ī_{S₀}[q₀, j]`.
+    root_k: u32,
+    /// The current tree's inner nodes in pre-order.
+    frames: Vec<Frame>,
+    /// Work stack of nodes whose first subtree is still to be built.
+    pending: Vec<Node>,
+    /// The current tree's terminal leaves in document order: each leaf's
+    /// shift and its list `M_{T_x}[i,j]`.
+    leaves: Vec<(u64, &'a [PartialMarkerSet])>,
+    /// The yield odometer: one index into each leaf's list.
+    odometer: Vec<usize>,
+    /// Open-marker positions of the tuple being filled, per variable.
+    opens: Vec<u64>,
+    /// `true` while the odometer addresses a result not yet returned.
+    live: bool,
 }
 
 impl<'a> Enumeration<'a> {
@@ -113,21 +153,184 @@ impl<'a> Enumeration<'a> {
     /// Starts an enumeration directly from the preprocessed matrices of a
     /// (query, document) pair — the engine-facing entry point.
     pub fn from_matrices(pre: &'a Preprocessed) -> Self {
-        let start_nt = pre.start_nt;
-        let q0 = pre.nfa_start;
-        let finals = pre.reachable_accepting();
-        let trees: Box<dyn Iterator<Item = Tree> + 'a> =
-            Box::new(finals.into_iter().flat_map(move |j| {
-                pre.i_bar(start_nt, q0, j)
-                    .into_iter()
-                    .flat_map(move |k| enum_all(pre, start_nt, q0, k, j))
-            }));
-        Enumeration {
-            num_vars: pre.num_vars,
-            trees,
-            current: None,
+        let mut e = Enumeration {
             pre,
+            finals: pre.reachable_accepting(),
+            root_final: 0,
+            root_k: BASE,
+            frames: Vec::new(),
+            pending: Vec::new(),
+            leaves: Vec::new(),
+            odometer: Vec::new(),
+            opens: vec![0; pre.num_vars],
+            live: false,
+        };
+        if let Some(&j) = e.finals.first() {
+            e.root_k = first_choice(pre, pre.start_nt, pre.nfa_start, j);
+            e.load_root();
+            e.live = true;
         }
+        e
+    }
+
+    /// Builds the first tree under the current root choice.
+    fn load_root(&mut self) {
+        self.frames.clear();
+        self.leaves.clear();
+        self.pending.push(Node {
+            a: self.pre.start_nt,
+            i: self.pre.nfa_start as u32,
+            k: self.root_k,
+            j: self.finals[self.root_final] as u32,
+            offset: 0,
+            parent: NO_PARENT,
+            left: false,
+        });
+        self.build();
+    }
+
+    /// Drains the work stack, appending each node's first subtree in
+    /// pre-order, then points the odometer at the tree's first result.
+    fn build(&mut self) {
+        let pre = self.pre;
+        while let Some(node) = self.pending.pop() {
+            let (a, i, k, j) = (node.a, node.i as usize, node.k, node.j as usize);
+            if k == BASE {
+                // `A⟨i▷j, ℮⟩` yields `{∅}` and adds no leaf; a terminal leaf
+                // `T_x⟨i▷j, 1⟩` yields `M_{T_x}[i,j]`.
+                if pre.r_entry(a, i, j) != REntry::Empty {
+                    self.leaves.push((node.offset, pre.leaf_set(a, i, j)));
+                }
+                continue;
+            }
+            let (b, c) = pre.children[a as usize].expect("k ≠ base implies an inner non-terminal");
+            self.frames.push(Frame {
+                node,
+                kb: first_choice(pre, b, i, k as usize),
+                kc: first_choice(pre, c, k as usize, j),
+                leaves_before: self.leaves.len() as u32,
+            });
+            let index = self.frames.len() - 1;
+            self.pending.push(self.child(index, false));
+            self.pending.push(self.child(index, true));
+        }
+        self.odometer.clear();
+        self.odometer.resize(self.leaves.len(), 0);
+    }
+
+    /// The left (`B`) or right (`C`) child of frame `index` under its
+    /// current choices.
+    fn child(&self, index: usize, left: bool) -> Node {
+        let Frame { node, kb, kc, .. } = self.frames[index];
+        let (b, c) = self.pre.children[node.a as usize].expect("frames are inner nodes");
+        let (a, i, k, j, offset) = if left {
+            (b, node.i, kb, node.k, node.offset)
+        } else {
+            let shift = self.pre.lengths[b as usize];
+            (c, node.k, kc, node.j, node.offset + shift)
+        };
+        let parent = index as u32;
+        Node {
+            a,
+            i,
+            k,
+            j,
+            offset,
+            parent,
+            left,
+        }
+    }
+
+    /// Moves to the next `(M,S₀)`-tree; `false` once every tree is done.
+    fn next_tree(&mut self) -> bool {
+        let pre = self.pre;
+        for t in (0..self.frames.len()).rev() {
+            let Frame { node, kb, kc, .. } = self.frames[t];
+            let (b, c) = pre.children[node.a as usize].expect("frames are inner nodes");
+            let (i, k, j) = (node.i as usize, node.k as usize, node.j as usize);
+            // `kc` is the inner loop, `kb` the outer one (Algorithm 1).
+            let (kb, kc) = match next_choice(pre, c, k, j, kc) {
+                Some(kc) => (kb, kc),
+                None => match next_choice(pre, b, i, k, kb) {
+                    Some(kb) => (kb, first_choice(pre, c, k, j)),
+                    None => continue,
+                },
+            };
+            let frame = &mut self.frames[t];
+            (frame.kb, frame.kc) = (kb, kc);
+            let leaves_before = frame.leaves_before as usize;
+            self.frames.truncate(t + 1);
+            self.leaves.truncate(leaves_before);
+            // Rebuild everything after frame `t` in pre-order: the right
+            // subtrees of the ancestors whose left subtree holds `t`
+            // (stacked farthest first, so the nearest is built first), then
+            // `t`'s own children.
+            let mut at = self.frames[t].node;
+            while at.parent != NO_PARENT {
+                if at.left {
+                    self.pending.push(self.child(at.parent as usize, false));
+                }
+                at = self.frames[at.parent as usize].node;
+            }
+            self.pending.reverse();
+            self.pending.push(self.child(t, false));
+            self.pending.push(self.child(t, true));
+            self.build();
+            return true;
+        }
+        // No frame can move on: advance the root's `k`, then its `j`.
+        let (s, q0) = (pre.start_nt, pre.nfa_start);
+        let j = self.finals[self.root_final];
+        if let Some(k) = next_choice(pre, s, q0, j, self.root_k) {
+            self.root_k = k;
+        } else {
+            self.root_final += 1;
+            let Some(&j) = self.finals.get(self.root_final) else {
+                return false;
+            };
+            self.root_k = first_choice(pre, s, q0, j);
+        }
+        self.load_root();
+        true
+    }
+
+    /// Moves to the next result, finishing the enumeration after the last:
+    /// the last leaf turns fastest, and a full wrap moves to the next tree.
+    fn step(&mut self) {
+        for (idx, (_, list)) in self.odometer.iter_mut().zip(&self.leaves).rev() {
+            *idx += 1;
+            if *idx < list.len() {
+                return;
+            }
+            *idx = 0;
+        }
+        self.live = self.next_tree();
+    }
+
+    /// The span tuple the odometer currently addresses, filled straight
+    /// from the shifted leaf entries.  Leaves are in document order and the
+    /// set bits of a marker set put `⊿x` (bit `2x`) before `◁x`, so every
+    /// open marker is seen before its close marker.
+    fn tuple(&mut self) -> SpanTuple {
+        let mut assignment = vec![None; self.opens.len()];
+        for (&(shift, list), &idx) in self.leaves.iter().zip(&self.odometer) {
+            for (pos, set) in list[idx].entries() {
+                let pos = pos + shift;
+                let mut bits = set.bits();
+                while bits != 0 {
+                    let bit = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    if bit.is_multiple_of(2) {
+                        self.opens[bit / 2] = pos;
+                    } else {
+                        let start = self.opens[bit / 2];
+                        debug_assert!(start <= pos, "close marker before its open marker");
+                        assignment[bit / 2] = Some(Span { start, end: pos });
+                    }
+                }
+            }
+        }
+        SpanTuple::from_assignment(assignment)
     }
 }
 
@@ -135,140 +338,72 @@ impl Iterator for Enumeration<'_> {
     type Item = SpanTuple;
 
     fn next(&mut self) -> Option<SpanTuple> {
-        loop {
-            if let Some(yields) = &mut self.current {
-                if let Some(markers) = yields.next() {
-                    return Some(
-                        SpanTuple::from_marker_set(&markers, self.num_vars)
-                            .expect("accepted subword-marked words encode valid span-tuples"),
-                    );
-                }
-                self.current = None;
-            }
-            // Fetch the next (M,S₀)-tree; its yield is never empty, so the
-            // loop advances by at least one output per tree.
-            let tree = self.trees.next()?;
-            self.current = Some(YieldIter::new(self.pre, tree));
+        if !self.live {
+            return None;
         }
+        let tuple = self.tuple();
+        self.step();
+        Some(tuple)
+    }
+
+    /// Skips `n` results by stepping the odometer, building no tuple.
+    fn nth(&mut self, n: usize) -> Option<SpanTuple> {
+        for _ in 0..n {
+            if !self.live {
+                return None;
+            }
+            self.step();
+        }
+        self.next()
     }
 }
 
 impl std::fmt::Debug for Enumeration<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Enumeration")
-            .field("num_vars", &self.num_vars)
+            .field("num_vars", &self.opens.len())
+            .field("tree_nodes", &self.frames.len())
             .finish_non_exhaustive()
     }
 }
 
-/// `EnumAll(A, i, k, j)` (Algorithm 1): lazily enumerates all `(M,A)`-trees
-/// with root `A⟨i▷k▷j⟩` (or the single base-case leaf when `k` is `None`).
-///
-/// The nesting of iterators mirrors the nesting of the algorithm's loops,
-/// so the delay between two trees is proportional to the maximum tree size,
-/// i.e. `O(|X|·depth(A))` (Lemma 8.9 with Lemma 8.4).
-fn enum_all<'a>(
-    pre: &'a Preprocessed,
-    a: u32,
-    i: usize,
-    k: Option<usize>,
-    j: usize,
-) -> Box<dyn Iterator<Item = Tree> + 'a> {
-    let Some(k) = k else {
-        // Base cases: R_A[i,j] = ℮, or a leaf non-terminal with R = 1.
-        let tree = if pre.r_entry(a, i, j) == REntry::Empty {
-            Tree::EmptyLeaf
-        } else {
-            Tree::TerminalLeaf { nt: a, i, j }
-        };
-        return Box::new(std::iter::once(tree));
+/// The first element of `Ī_A[i,j]` (non-empty whenever `R_A[i,j] ≠ ⊥`).
+fn first_choice(pre: &Preprocessed, a: u32, i: usize, j: usize) -> u32 {
+    choice_from(pre, a, i, j, 0).expect("R_A[i,j] ≠ ⊥ makes Ī_A[i,j] non-empty")
+}
+
+/// The element of `Ī_A[i,j]` after `k`, if any.
+fn next_choice(pre: &Preprocessed, a: u32, i: usize, j: usize, k: u32) -> Option<u32> {
+    if k == BASE {
+        return None;
+    }
+    choice_from(pre, a, i, j, k as usize + 1)
+}
+
+/// The smallest element of the paper's `Ī_A[i,j]` that is `≥ from`:
+/// `{base}` for leaves and `℮` entries, otherwise the next set bit `k'` of
+/// row `i` of `R_B ≠ ⊥` with `R_C[k',j] ≠ ⊥` (`A → BC`).  No set is built.
+fn choice_from(pre: &Preprocessed, a: u32, i: usize, j: usize, from: usize) -> Option<u32> {
+    let Some((b, c)) = pre.children[a as usize] else {
+        return (from == 0).then_some(BASE);
     };
-    let (b, c) = pre.children[a as usize].expect("k ≠ base implies an inner non-terminal");
-    let shift = pre.lengths[b as usize];
-    Box::new(pre.i_bar(b, i, k).into_iter().flat_map(move |kb| {
-        pre.i_bar(c, k, j).into_iter().flat_map(move |kc| {
-            enum_all(pre, b, i, kb, k).flat_map(move |tb| {
-                enum_all(pre, c, k, kc, j).map(move |tc| Tree::Inner {
-                    shift,
-                    left: Box::new(tb.clone()),
-                    right: Box::new(tc),
-                })
-            })
-        })
-    }))
-}
-
-/// Enumerates the yield of a single `(M,A)`-tree (Lemma 8.5): an odometer
-/// over the per-terminal-leaf lists `M_{T_x}[i,j]`, with each leaf's marker
-/// positions shifted by the total arc-label sum on its root-to-leaf path.
-struct YieldIter<'a> {
-    /// Per terminal leaf (left-to-right): its total shift and its list.
-    leaves: Vec<(u64, &'a [PartialMarkerSet])>,
-    /// Odometer state; `None` once exhausted.
-    indices: Option<Vec<usize>>,
-}
-
-impl<'a> YieldIter<'a> {
-    fn new(pre: &'a Preprocessed, tree: Tree) -> Self {
-        let mut leaves = Vec::new();
-        collect_leaves(pre, &tree, 0, &mut leaves);
-        debug_assert!(leaves.iter().all(|(_, list)| !list.is_empty()));
-        let indices = Some(vec![0; leaves.len()]);
-        YieldIter { leaves, indices }
+    if pre.r_entry(a, i, j) == REntry::Empty {
+        return (from == 0).then_some(BASE);
     }
-}
-
-fn collect_leaves<'a>(
-    pre: &'a Preprocessed,
-    tree: &Tree,
-    shift: u64,
-    out: &mut Vec<(u64, &'a [PartialMarkerSet])>,
-) {
-    match tree {
-        Tree::EmptyLeaf => {}
-        Tree::TerminalLeaf { nt, i, j } => out.push((shift, pre.leaf_set(*nt, *i, *j))),
-        Tree::Inner {
-            shift: node_shift,
-            left,
-            right,
-        } => {
-            collect_leaves(pre, left, shift, out);
-            collect_leaves(pre, right, shift + node_shift, out);
-        }
-    }
-}
-
-impl Iterator for YieldIter<'_> {
-    type Item = PartialMarkerSet;
-
-    fn next(&mut self) -> Option<PartialMarkerSet> {
-        let indices = self.indices.as_mut()?;
-        // Combine the current selection: leaves are in document order, so the
-        // shifted entries are already position-sorted.
-        let mut entries = Vec::new();
-        for ((shift, list), &idx) in self.leaves.iter().zip(indices.iter()) {
-            let chosen = &list[idx];
-            for (pos, set) in chosen.entries() {
-                entries.push((pos + shift, set));
+    let row = pre.r[b as usize].nonbot_plane().row_words(i);
+    let rc = &pre.r[c as usize];
+    let mut word = from / 64;
+    let mut bits = row.get(word)? & (!0u64 << (from % 64));
+    loop {
+        while bits != 0 {
+            let k = word * 64 + bits.trailing_zeros() as usize;
+            if rc.is_nonbot(k, j) {
+                return Some(k as u32);
             }
+            bits &= bits - 1;
         }
-        let result = PartialMarkerSet::from_entries(entries);
-        // Advance the odometer.
-        let mut pos = self.leaves.len();
-        loop {
-            if pos == 0 {
-                self.indices = None;
-                break;
-            }
-            pos -= 1;
-            let indices = self.indices.as_mut().expect("checked above");
-            indices[pos] += 1;
-            if indices[pos] < self.leaves[pos].1.len() {
-                break;
-            }
-            indices[pos] = 0;
-        }
-        Some(result)
+        word += 1;
+        bits = *row.get(word)?;
     }
 }
 
@@ -415,5 +550,146 @@ mod tests {
         // And the full result set matches the reference.
         let reference_set = reference::evaluate(&m, b"aabccaabaa");
         assert_eq!(results.into_iter().collect::<BTreeSet<_>>(), reference_set);
+    }
+
+    /// A tuple as a literal: each variable's span as `(start, end)`.
+    fn spans(t: &SpanTuple) -> Vec<Option<(u64, u64)>> {
+        (0..t.num_vars())
+            .map(|v| t.get(Variable(v as u8)).map(|s| (s.start, s.end)))
+            .collect()
+    }
+
+    /// The order the enumeration of `slp` emits, as literals.
+    fn order(m: &SpannerAutomaton<u8>, slp: &NormalFormSlp<u8>) -> Vec<Vec<Option<(u64, u64)>>> {
+        Enumerator::new(m, slp)
+            .unwrap()
+            .iter()
+            .map(|t| spans(&t))
+            .collect()
+    }
+
+    #[test]
+    fn golden_order_for_figure_2_on_example_4_2() {
+        // Recorded from the recursive `EnumAll` generator this cursor
+        // replaced: the cursor must keep Algorithm 1's order exactly.
+        let expected: Vec<[Option<(u64, u64)>; 2]> = vec![
+            [Some((9, 10)), None],
+            [Some((8, 10)), None],
+            [Some((8, 9)), None],
+            [Some((7, 10)), None],
+            [Some((6, 10)), None],
+            [Some((7, 9)), None],
+            [Some((6, 9)), None],
+            [Some((7, 8)), None],
+            [Some((6, 8)), None],
+            [Some((6, 7)), None],
+            [None, Some((5, 6))],
+            [None, Some((4, 6))],
+            [Some((2, 3)), None],
+            [Some((1, 3)), None],
+            [Some((1, 2)), None],
+        ];
+        let got = order(&figure_2_spanner(), &slp::examples::example_4_2());
+        assert_eq!(got, expected.iter().map(|t| t.to_vec()).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn golden_order_for_adjacent_blocks_on_a_mixed_document() {
+        // Recorded from the recursive generator, as above; Bisection and
+        // RePair happen to agree on this document.
+        let expected: Vec<[Option<(u64, u64)>; 2]> = vec![
+            [Some((14, 15)), Some((15, 16))],
+            [Some((11, 12)), Some((12, 13))],
+            [Some((10, 12)), Some((12, 13))],
+            [Some((6, 7)), Some((7, 10))],
+            [Some((6, 7)), Some((7, 9))],
+            [Some((6, 7)), Some((7, 8))],
+            [Some((2, 3)), Some((3, 5))],
+            [Some((1, 3)), Some((3, 5))],
+            [Some((2, 3)), Some((3, 4))],
+            [Some((1, 3)), Some((3, 4))],
+        ];
+        let expected: Vec<Vec<_>> = expected.iter().map(|t| t.to_vec()).collect();
+        let m = regex::compile_deterministic(".*x{a+}y{b+}.*", b"abc").unwrap();
+        for compressor in [&Bisection as &dyn Compressor, &RePair::default()] {
+            let slp = compressor.compress(b"aabbcabbbaabcab");
+            assert_eq!(
+                order(&m, &slp),
+                expected,
+                "compressor {}",
+                compressor.name()
+            );
+        }
+    }
+
+    #[test]
+    fn skipping_equals_the_collected_suffix() {
+        let cases: Vec<(SpannerAutomaton<u8>, &[u8])> = vec![
+            (figure_2_spanner(), b"aabccaabaa"),
+            (
+                regex::compile_deterministic(".*x{a+}y{b+}.*", b"abc").unwrap(),
+                b"aabbcabbbaabcabab",
+            ),
+            (regex::compile(".*x{a.*}.*", b"ab").unwrap(), b"abaab"),
+            (
+                regex::compile_deterministic("(a|b)*abb", b"ab").unwrap(),
+                b"aabb",
+            ),
+        ];
+        for (m, doc) in &cases {
+            for compressor in [&Bisection as &dyn Compressor, &RePair::default(), &Chain] {
+                let slp = compressor.compress(doc);
+                let e = Enumerator::new_allow_duplicates(m, &slp).unwrap();
+                let all: Vec<SpanTuple> = e.iter().collect();
+                for s in 0..=all.len() + 2 {
+                    let suffix = &all[s.min(all.len())..];
+                    assert_eq!(e.iter().skip(s).collect::<Vec<_>>(), suffix, "skip {s}");
+                    assert_eq!(e.iter().nth(s).as_ref(), suffix.first(), "nth {s}");
+                }
+                // `next` and `nth` interleaved: every third result.
+                let mut it = e.iter();
+                for t in all.iter().step_by(3) {
+                    assert_eq!(it.next().as_ref(), Some(t));
+                    it.nth(1);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn choices_handle_leaves_and_empty_entries() {
+        // Ī_A[i,j] is {base} for leaves and ℮ entries, otherwise I_A[i,j].
+        use slp::examples::names_4_2;
+        let m = figure_2_spanner();
+        let p = PreparedEvaluation::new(&m, &slp::examples::example_4_2()).unwrap();
+        let pre = &p.pre;
+        for (a, i, j) in [(names_4_2::TC.0, 4, 4), (names_4_2::C.0, 0, 0)] {
+            assert_eq!(first_choice(pre, a, i, j), BASE);
+            assert_eq!(next_choice(pre, a, i, j, BASE), None);
+        }
+        let (a, i, j) = (names_4_2::A.0, 0, 4);
+        let mut choices = vec![first_choice(pre, a, i, j)];
+        while let Some(k) = next_choice(pre, a, i, j, *choices.last().unwrap()) {
+            choices.push(k);
+        }
+        assert!(!choices.contains(&BASE));
+        let expected: Vec<u32> = pre.i_set(a, i, j).into_iter().map(|k| k as u32).collect();
+        assert_eq!(choices, expected);
+    }
+
+    #[test]
+    fn chain_grammars_enumerate_without_recursion() {
+        // A Chain SLP has depth Θ(d): the cursor's explicit stack must carry
+        // trees thousands of nodes deep.
+        let m = regex::compile_deterministic(".*x{ab}.*", b"ab").unwrap();
+        let slp = Chain.compress(&b"ab".repeat(2_000));
+        let e = Enumerator::new(&m, &slp).unwrap();
+        let x = Variable(0);
+        let first: Vec<SpanTuple> = e.iter().take(3).collect();
+        assert_eq!(first.len(), 3);
+        assert!(first.iter().all(|t| t.get(x).unwrap().len() == 2));
+        let last = e.iter().nth(1_999).unwrap();
+        assert_eq!(last.get(x).unwrap().len(), 2);
+        assert_eq!(e.iter().nth(2_000), None);
     }
 }

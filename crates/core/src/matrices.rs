@@ -755,17 +755,6 @@ impl Preprocessed {
             .collect()
     }
 
-    /// The paper's `Ī_A[i, j]`: `{base}` (represented as `None`) for leaves
-    /// and for entries with `R_A[i,j] = ℮`, otherwise `I_A[i,j]` wrapped in
-    /// `Some`.
-    pub fn i_bar(&self, a: u32, i: usize, j: usize) -> Vec<Option<usize>> {
-        if self.is_leaf(a) || self.r_entry(a, i, j) == REntry::Empty {
-            vec![None]
-        } else {
-            self.i_set(a, i, j).into_iter().map(Some).collect()
-        }
-    }
-
     /// Approximate resident size of the preprocessed matrices in bytes:
     /// the struct itself plus every owned buffer (the bit-packed `R_A`
     /// bitplanes including their row padding words, the leaf tables down
@@ -1038,14 +1027,5 @@ mod tests {
             count_from_matrices(&via_shards),
             count_from_matrices(&monolithic)
         );
-    }
-
-    #[test]
-    fn i_bar_handles_leaves_and_empty_entries() {
-        let p = prep();
-        let pre = &p.pre;
-        assert_eq!(pre.i_bar(names_4_2::TC.0, 4, 4), vec![None]);
-        assert_eq!(pre.i_bar(names_4_2::C.0, 0, 0), vec![None]);
-        assert!(!pre.i_bar(names_4_2::A.0, 0, 4).contains(&None));
     }
 }

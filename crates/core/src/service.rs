@@ -84,9 +84,10 @@ pub enum Task {
     ModelCheck(SpanTuple),
     /// `|⟦M⟧(D)|` without materialising any tuple (counting extension).
     Count,
-    /// Materialise `⟦M⟧(D)` (Theorem 7.1), keeping at most `limit` tuples
-    /// (`None` = all).  The bound trims the response; the computation
-    /// itself is the full `O(size(S)·r)` pass.
+    /// Materialise `⟦M⟧(D)` (Theorem 7.1), keeping the first `limit` tuples
+    /// in `⪯` order (`None` = all).  The bound caps every list the pass
+    /// materialises, so a small limit never builds the whole relation;
+    /// the pass still visits every entry it needs.
     Compute {
         /// Maximum number of tuples to return (`None` = no bound).
         limit: Option<usize>,
@@ -1262,11 +1263,7 @@ impl Service {
             Task::ModelCheck(_) => unreachable!("handled above"),
             Task::Count => TaskOutcome::Count(count::count_from_matrices(&pre)),
             Task::Compute { limit } => {
-                let mut tuples = compute::compute_from_matrices(&pre);
-                if let Some(limit) = *limit {
-                    tuples.truncate(limit);
-                }
-                TaskOutcome::Tuples(tuples)
+                TaskOutcome::Tuples(compute::compute_prefix_from_matrices(&pre, *limit))
             }
             Task::Enumerate { skip, limit } => {
                 let iter = enumerate::Enumeration::from_matrices(&pre).skip(*skip);
@@ -1720,7 +1717,18 @@ mod tests {
             })
             .unwrap();
         assert_eq!(response.stats.results, 5);
-        assert_eq!(response.outcome.tuples().unwrap().len(), 5);
+        // The capped pass returns exactly the uncapped answer's prefix.
+        let full = service
+            .run(&TaskRequest {
+                query: q,
+                doc: d,
+                task: Task::Compute { limit: None },
+            })
+            .unwrap();
+        assert_eq!(
+            response.outcome.tuples().unwrap(),
+            &full.outcome.tuples().unwrap()[..5]
+        );
     }
 
     #[test]

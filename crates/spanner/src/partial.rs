@@ -126,21 +126,19 @@ impl PartialMarkerSet {
     /// `s`), so the concatenation is a cheap append; the general merging
     /// case is still handled correctly.
     pub fn compose(&self, shift: u64, right: &PartialMarkerSet) -> Self {
-        if right.is_empty() {
+        let Some(&(first, _)) = right.entries.first() else {
             return self.clone();
-        }
-        let shifted = right.right_shift(shift);
-        if self.is_empty() {
-            return shifted;
-        }
-        if self.max_position() < shifted.entries[0].0 {
+        };
+        let shifted = right.entries.iter().map(|&(p, s)| (p + shift, s));
+        if self.max_position() < first + shift {
             // Fast path: strictly separated halves (the only case the
-            // evaluation algorithms produce).
-            let mut entries = self.entries.clone();
-            entries.extend_from_slice(&shifted.entries);
+            // evaluation algorithms produce), one allocation.
+            let mut entries = Vec::with_capacity(self.entries.len() + right.entries.len());
+            entries.extend_from_slice(&self.entries);
+            entries.extend(shifted);
             return PartialMarkerSet { entries };
         }
-        PartialMarkerSet::from_entries(self.entries().chain(shifted.entries()))
+        PartialMarkerSet::from_entries(self.entries().chain(shifted))
     }
 
     /// Heap bytes owned by this partial marker set (the backing entry
@@ -169,31 +167,39 @@ impl PartialMarkerSet {
 /// is the **larger** one.  This ordering is compatible with `⊗_s`
 /// composition, which is what makes merge-based duplicate elimination in the
 /// computation algorithm sound.
+///
+/// The comparison walks the run-length entries pairwise and allocates
+/// nothing.  Markers are ranked by their bit in a [`MarkerSet`], and every
+/// entry's set is non-empty, so:
+/// * at the first pair of different positions, the smaller position's
+///   sequence is smaller;
+/// * at the first equal position with different sets, the side holding the
+///   lowest differing bit is smaller (the other side continues with a
+///   higher bit, a later position, or nothing — a prefix, hence larger);
+/// * if one entry list is a prefix of the other, the shorter list is larger.
 impl Ord for PartialMarkerSet {
     fn cmp(&self, other: &Self) -> Ordering {
-        let a = self.expand();
-        let b = other.expand();
-        for (x, y) in a.iter().zip(b.iter()) {
-            let c = (x.0, marker_rank(x.1)).cmp(&(y.0, marker_rank(y.1)));
-            if c != Ordering::Equal {
-                return c;
+        for (&(pa, sa), &(pb, sb)) in self.entries.iter().zip(&other.entries) {
+            if pa != pb {
+                return pa.cmp(&pb);
+            }
+            let differ = sa.bits() ^ sb.bits();
+            if differ != 0 {
+                let lowest = differ & differ.wrapping_neg();
+                return if sa.bits() & lowest != 0 {
+                    Ordering::Less
+                } else {
+                    Ordering::Greater
+                };
             }
         }
-        // One is a prefix of the other: the prefix is larger.
-        b.len().cmp(&a.len())
+        other.entries.len().cmp(&self.entries.len())
     }
 }
 
 impl PartialOrd for PartialMarkerSet {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
-    }
-}
-
-fn marker_rank(m: Marker) -> u32 {
-    match m {
-        Marker::Open(v) => 2 * v.0 as u32,
-        Marker::Close(v) => 2 * v.0 as u32 + 1,
     }
 }
 
@@ -365,5 +371,59 @@ mod tests {
         let txt = l.to_string();
         assert!(txt.contains("2"));
         assert!(txt.contains("4"));
+    }
+
+    /// The order as appendix D defines it, on expanded `(position, marker
+    /// rank)` sequences: the leftmost difference decides, a prefix is larger.
+    fn expanded_cmp(a: &[(u64, u32)], b: &[(u64, u32)]) -> Ordering {
+        match a.iter().zip(b).find(|(x, y)| x != y) {
+            Some((x, y)) => x.cmp(y),
+            None => b.len().cmp(&a.len()),
+        }
+    }
+
+    #[test]
+    fn in_place_order_agrees_with_the_expanded_order() {
+        // Every partial marker set over positions 1–3 and the four markers
+        // of two variables: 16³ sets, compared against a stride of the
+        // others (every pair of sets differing at one position included).
+        let sets: Vec<PartialMarkerSet> = (0..16u64 * 16 * 16)
+            .map(|code| {
+                PartialMarkerSet::from_entries(
+                    (0..3).map(|p| (p + 1, MarkerSet::from_bits((code >> (4 * p)) & 15))),
+                )
+            })
+            .collect();
+        let rank = |m: Marker| match m {
+            Marker::Open(v) => 2 * v.0 as u32,
+            Marker::Close(v) => 2 * v.0 as u32 + 1,
+        };
+        let expanded: Vec<Vec<(u64, u32)>> = sets
+            .iter()
+            .map(|s| s.expand().into_iter().map(|(p, m)| (p, rank(m))).collect())
+            .collect();
+        let check = |i: usize, j: usize| {
+            let expected = expanded_cmp(&expanded[i], &expanded[j]);
+            assert_eq!(
+                sets[i].cmp(&sets[j]),
+                expected,
+                "{} vs {}",
+                sets[i],
+                sets[j]
+            );
+        };
+        let mut pairs = 0usize;
+        for i in 0..sets.len() {
+            for j in (i % 7..sets.len()).step_by(7) {
+                check(i, j);
+                pairs += 1;
+            }
+            for p in 0..3 {
+                for bits in 0..16 {
+                    check(i, (i & !(15 << (4 * p))) | (bits << (4 * p)));
+                }
+            }
+        }
+        assert!(pairs > 2_000_000);
     }
 }

@@ -29,8 +29,7 @@ fn series(client: &mut Client, name: &str) -> u64 {
 }
 
 /// Registers one query and one document whose enumeration yields `pairs`
-/// tuples — the knob the tests below use to make scans slow relative to
-/// point lookups.
+/// tuples.
 fn register(client: &mut Client, pairs: usize) -> (u64, u64) {
     let query = client.add_query(".*x{ab}.*", b"ab").expect("add_query");
     let doc = client.add_doc(&b"ab".repeat(pairs)).expect("add_doc").id;
@@ -72,10 +71,12 @@ fn pin_permit(admin: &mut Client, addr: std::net::SocketAddr) -> PipelinedClient
 
 #[test]
 fn cheap_tasks_complete_ahead_of_queued_scans() {
-    // One dispatcher, small pages: the first enumerate occupies the worker
-    // while the rest queue.  A model check submitted *last* lands in the
-    // cheap class queue and the weighted-fair scheduler runs it ahead of
-    // the queued scans — its reply arrives out of submission order.
+    // One dispatcher, pinned by a scan whose client never reads: six
+    // enumerates and then a model check queue behind it.  Once the pin is
+    // dropped, the weighted-fair scheduler runs the check — submitted
+    // *last*, into the cheap class queue — ahead of queued scans, so its
+    // reply arrives out of submission order.  Socket backpressure, not
+    // enumeration time, holds the queue.
     let server = boot(ServerConfig {
         scheduler_workers: 1,
         page_size: 1,
@@ -85,6 +86,7 @@ fn cheap_tasks_complete_ahead_of_queued_scans() {
     let (query, doc) = register(&mut admin, 400);
     let (tuples, _) = admin.compute(query, doc, Some(1)).unwrap();
     let witness = tuples[0].clone();
+    let pin = pin_permit(&mut admin, server.local_addr());
 
     let mut pipe = PipelinedClient::connect(server.local_addr()).unwrap();
     let scans: Vec<u64> = (0..6)
@@ -103,6 +105,9 @@ fn cheap_tasks_complete_ahead_of_queued_scans() {
     let check = pipe
         .submit(query, doc, WireTask::ModelCheck(witness))
         .unwrap();
+    await_series(&mut admin, "spanner_queue_depth{class=\"expensive\"}", 6);
+    await_series(&mut admin, "spanner_queue_depth{class=\"cheap\"}", 1);
+    drop(pin);
 
     let replies = pipe.drain().unwrap();
     assert_eq!(replies.len(), 7);
@@ -128,14 +133,18 @@ fn cheap_tasks_complete_ahead_of_queued_scans() {
 fn pages_interleave_with_point_lookups_on_one_socket() {
     // Raw socket so the arrival order of frames is observable: a streaming
     // enumerate's pages and concurrent model-check replies must share the
-    // connection, not serialise behind each other.
+    // connection, not serialise behind each other.  The scan's pages are
+    // several times the loopback socket buffers and the test reads nothing
+    // until the checks are in, so socket backpressure — not enumeration
+    // time — keeps the scan open while the checks are answered.
     let server = boot(ServerConfig {
         scheduler_workers: 2,
         page_size: 1,
         ..ServerConfig::default()
     });
     let mut admin = Client::connect(server.local_addr()).unwrap();
-    let (query, doc) = register(&mut admin, 300);
+    let query = admin.add_query(".*x{a.*}.*", b"ab").expect("add_query");
+    let doc = admin.add_doc(&b"ab".repeat(1000)).expect("add_doc").id;
     let (tuples, _) = admin.compute(query, doc, Some(1)).unwrap();
     let witness = tuples[0].clone();
 
@@ -163,26 +172,30 @@ fn pages_interleave_with_point_lookups_on_one_socket() {
         Response::decode_framed(&line).unwrap()
     };
 
+    // ~250k one-tuple pages, well over 10 MB of frames.
     const SCAN: u64 = 1;
+    const PAGES: u64 = 250_000;
+    const CHECKS: u64 = 8;
     submit(
         SCAN,
         WireTask::Enumerate {
             skip: 0,
-            limit: None,
+            limit: Some(PAGES),
         },
     );
-    // Keep feeding point lookups until the scan's terminal frame arrives,
-    // recording the arrival order of every frame.
+    await_series(&mut admin, INFLIGHT, 1);
+    for check in 1..=CHECKS {
+        submit(SCAN + check, WireTask::ModelCheck(witness.clone()));
+    }
+    // Record the arrival order of every frame up to the scan's terminal
+    // frame.
     let mut arrivals: Vec<(u64, bool)> = Vec::new();
-    let mut next_check = SCAN + 1;
-    let mut outstanding_checks = 0usize;
+    let mut outstanding_checks = CHECKS;
     loop {
-        submit(next_check, WireTask::ModelCheck(witness.clone()));
-        next_check += 1;
-        outstanding_checks += 1;
         let (id, response) = read_frame(&mut reader);
         let page = matches!(response, Response::Page { .. });
         if id != SCAN {
+            assert!(matches!(response, Response::Checked { .. }));
             outstanding_checks -= 1;
         }
         arrivals.push((id, page));
@@ -191,6 +204,13 @@ fn pages_interleave_with_point_lookups_on_one_socket() {
             break;
         }
     }
+    assert_eq!(
+        arrivals
+            .iter()
+            .filter(|&&(id, page)| id == SCAN && page)
+            .count() as u64,
+        PAGES
+    );
     for _ in 0..outstanding_checks {
         let (id, response) = read_frame(&mut reader);
         assert_ne!(id, SCAN);
@@ -202,7 +222,8 @@ fn pages_interleave_with_point_lookups_on_one_socket() {
         first_page.is_some_and(|start| arrivals[start..].iter().any(|&(id, _)| id != SCAN));
     assert!(
         interleaved,
-        "no model-check reply arrived between the scan's pages: {arrivals:?}"
+        "no model-check reply arrived between the scan's pages: {} frames",
+        arrivals.len()
     );
 
     admin.shutdown().unwrap();
@@ -218,11 +239,13 @@ fn late_queued_work_is_shed_as_expired_not_busy() {
     });
     let mut admin = Client::connect(server.local_addr()).unwrap();
     let (query, doc) = register(&mut admin, 800);
+    let pin = pin_permit(&mut admin, server.local_addr());
 
     let mut pipe = PipelinedClient::connect(server.local_addr()).unwrap();
-    // The scan occupies the only dispatcher; the deadlined count waits in
-    // queue far past its microsecond budget and must be shed as expired —
-    // the structured signal for "too late", distinct from busy.
+    // A scan whose client never reads pins the only dispatcher; a scan and
+    // a deadlined count queue behind it.  The count waits far past its
+    // microsecond budget and must be shed as expired — the structured
+    // signal for "too late", distinct from busy.
     let scan = pipe
         .submit(
             query,
@@ -240,6 +263,9 @@ fn late_queued_work_is_shed_as_expired_not_busy() {
     let patient = pipe
         .submit_with_deadline(query, doc, WireTask::Count, Duration::from_secs(30))
         .unwrap();
+    await_series(&mut admin, "spanner_queue_depth{class=\"expensive\"}", 1);
+    await_series(&mut admin, "spanner_queue_depth{class=\"cheap\"}", 2);
+    drop(pin);
 
     for reply in pipe.drain().unwrap() {
         if reply.id == scan {
@@ -280,6 +306,7 @@ fn class_queue_overflow_sheds_busy_without_penalising_other_classes() {
     });
     let mut admin = Client::connect(server.local_addr()).unwrap();
     let (query, doc) = register(&mut admin, 800);
+    let pin = pin_permit(&mut admin, server.local_addr());
 
     let mut pipe = PipelinedClient::connect(server.local_addr()).unwrap();
     let scan = pipe
@@ -292,11 +319,13 @@ fn class_queue_overflow_sheds_busy_without_penalising_other_classes() {
             },
         )
         .unwrap();
-    // With the dispatcher pinned on the scan, the cheap class queue (bound
-    // 2) overflows on the third queued count.
+    // With the dispatcher pinned by a scan whose client never reads, the
+    // cheap class queue (bound 2) overflows on the third queued count.
     let counts: Vec<u64> = (0..8)
         .map(|_| pipe.submit(query, doc, WireTask::Count).unwrap())
         .collect();
+    await_series(&mut admin, SHED_OVERFLOW, 6);
+    drop(pin);
 
     let replies = pipe.drain().unwrap();
     let shed = replies
