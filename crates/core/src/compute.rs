@@ -118,7 +118,6 @@ pub fn compute_prefix_from_matrices(pre: &Preprocessed, limit: Option<usize>) ->
     for items in strata.iter().filter(|s| !s.is_empty()) {
         let materialise =
             |&(a, i, j): &(u32, usize, usize)| materialise_entry(pre, &values, a, i, j, cap);
-        #[cfg(feature = "parallel")]
         let computed: Vec<Vec<PartialMarkerSet>> = if items.len() >= PHASE2_PAR_THRESHOLD {
             rayon::par_map(items, materialise)
         } else {
@@ -126,8 +125,6 @@ pub fn compute_prefix_from_matrices(pre: &Preprocessed, limit: Option<usize>) ->
             // entries costs more than the entries themselves.
             items.iter().map(materialise).collect()
         };
-        #[cfg(not(feature = "parallel"))]
-        let computed: Vec<Vec<PartialMarkerSet>> = items.iter().map(materialise).collect();
         for (&key, value) in items.iter().zip(computed) {
             values.insert(key, value);
         }
@@ -149,7 +146,6 @@ pub fn compute_prefix_from_matrices(pre: &Preprocessed, limit: Option<usize>) ->
 
 /// Minimum stratum size before phase 2 fans an entry wave across cores:
 /// below this the thread handoff dominates the merge work itself.
-#[cfg(feature = "parallel")]
 const PHASE2_PAR_THRESHOLD: usize = 16;
 
 /// One `M_A[i,j]` materialisation (Lemma 6.8), capped at its first `cap`

@@ -349,7 +349,7 @@ impl PreparedDocument {
         };
         self.cache.get_or_build(key, || match &self.shard_layout {
             Some(layout) => {
-                let (pre, stats) = Preprocessed::build_sharded_traced(
+                let (pre, stats) = Preprocessed::build_sharded(
                     query.nfa(),
                     &self.ended,
                     query.num_vars(),

@@ -20,8 +20,9 @@
 //!   boundary), the pass's wall-clock, and whether the executor had to
 //!   fall back;
 //! * a [`ShardExecutor`] turns jobs into outcomes.  [`LocalExecutor`] is
-//!   the default in-process backend (the depth-strata wave schedule,
-//!   bit-identical to the monolithic pass); `spanner-server`'s
+//!   the default in-process backend (the one depth-strata pass that
+//!   [`Preprocessed::build`](crate::matrices::Preprocessed::build) runs
+//!   over the whole grammar); `spanner-server`'s
 //!   `RemoteExecutor` ships jobs to worker processes over the wire
 //!   protocol and falls back to [`LocalExecutor`] when a worker fails, so
 //!   results are never lost.

@@ -11,16 +11,15 @@
 //! algorithms.  For *leaf* non-terminals the full `M_{T_x}` tables are tiny
 //! (`O(|M|)` overall) and are precomputed here.
 //!
-//! With the `parallel` feature (default on), [`Preprocessed::build`] runs
-//! the dominant `size(S)·q³` matrix pass data-parallel: the leaf tables are
-//! independent, and the inner `R_A` summaries are computed level-by-level
-//! over the grammar's depth strata (a non-terminal only depends on its
-//! strictly shallower children), with the entries of one level mapped
-//! across all cores.  [`Preprocessed::build_serial`] is always available
-//! and produces bit-identical results.
+//! Every matrix build runs one pass, `block_pass`: independent leaf
+//! tables, then the inner `R_A` summaries over the grammar's depth strata,
+//! each stratum mapped across all cores (serially on a one-CPU host).
+//! [`Preprocessed::build`] runs it over the whole grammar,
+//! [`Preprocessed::build_sharded`] per shard block.  The plain bottom-up
+//! [`Preprocessed::build_serial`] is the bit-identical oracle.
 
 pub use crate::bitmat::RMatrix;
-use crate::executor::{LocalExecutor, ShardExecutor, ShardJob, ShardOutcome};
+use crate::executor::{ShardExecutor, ShardJob, ShardOutcome};
 use crate::prepared::EByte;
 use crate::trace::{self, ShardTrace, SpanRec};
 use slp::{NfRule, NonTerminal, NormalFormSlp, ShardLayout, Terminal};
@@ -220,86 +219,55 @@ fn leaf_table<T: Terminal>(
     (table, summary)
 }
 
-/// One standalone shard block's full matrix pass — the unit of work behind
-/// [`crate::executor::ShardExecutor`]: computes the incoming-marker index
-/// for the automaton and runs [`shard_pass`] over the whole block (local
-/// indices `0..n`).  Returns the block's `R` summary rows and leaf tables.
+/// One standalone rule block's full matrix pass (Lemma 6.5): leaf tables,
+/// then the inner `R_A` summaries one depth stratum at a time, each
+/// stratum's entries mapped across cores.  A depth-d rule's children are
+/// shallower, so each stratum reads only strata already done; the maximum
+/// depth is taken over every rule, since rules unreachable from the start
+/// may be deeper than `S₀`.  [`Preprocessed::build`] runs it over the whole
+/// grammar; [`crate::executor::LocalExecutor`], the worker and the gather's
+/// fallback over one shard block.  Returns the `R` rows and leaf tables.
 #[allow(clippy::type_complexity)]
 pub(crate) fn block_pass<T: Terminal>(
     nfa: &Nfa<MarkedSymbol<T>>,
     block: &NormalFormSlp<T>,
 ) -> (Vec<RMatrix>, Vec<Option<Vec<Vec<PartialMarkerSet>>>>) {
     let q = nfa.num_states();
+    let n = block.num_non_terminals();
+    let order = block.bottom_up_order();
     let incoming_markers = incoming_marker_arcs(nfa, q);
-    shard_pass(
-        nfa,
-        block,
-        &incoming_markers,
-        q,
-        block.bottom_up_order(),
-        0,
-        block.num_non_terminals(),
-    )
-}
+    let mut r: Vec<RMatrix> = vec![RMatrix::bot(0); n];
+    let mut leaf_tables: Vec<Option<Vec<Vec<PartialMarkerSet>>>> = vec![None; n];
 
-/// One shard's independent matrix pass over its self-contained rule block
-/// `[base, base + len)`: leaf tables first, then the inner `R_A` summaries
-/// over the shard's own depth strata (with the `parallel` feature the
-/// strata waves are data-parallel, mirroring
-/// [`Preprocessed::build_parallel`]).  Returns the block's `R` rows and
-/// leaf tables indexed by `rule − base`.
-#[allow(clippy::type_complexity)]
-fn shard_pass<T: Terminal>(
-    nfa: &Nfa<MarkedSymbol<T>>,
-    slp: &NormalFormSlp<T>,
-    incoming_markers: &[Vec<(usize, MarkerSet)>],
-    q: usize,
-    members: &[NonTerminal],
-    base: usize,
-    len: usize,
-) -> (Vec<RMatrix>, Vec<Option<Vec<Vec<PartialMarkerSet>>>>) {
-    let mut r: Vec<RMatrix> = vec![RMatrix::bot(0); len];
-    let mut leaf_tables: Vec<Option<Vec<Vec<PartialMarkerSet>>>> = vec![None; len];
-
-    // Leaf tables: independent per leaf non-terminal.
-    let leaves: Vec<(NonTerminal, T)> = members
+    // Leaf tables M_{T_x}: independent per leaf non-terminal.
+    let leaves: Vec<(NonTerminal, T)> = order
         .iter()
-        .filter_map(|&a| match slp.rule(a) {
+        .filter_map(|&a| match block.rule(a) {
             NfRule::Leaf(x) => Some((a, x)),
             NfRule::Pair(..) => None,
         })
         .collect();
-    let build_leaf = |&(_, x): &(NonTerminal, T)| leaf_table(nfa, incoming_markers, q, x);
-    #[cfg(feature = "parallel")]
-    let built = rayon::par_map(&leaves, build_leaf);
-    #[cfg(not(feature = "parallel"))]
-    let built: Vec<_> = leaves.iter().map(build_leaf).collect();
+    let built = rayon::par_map(&leaves, |&(_, x)| leaf_table(nfa, &incoming_markers, q, x));
     for ((a, _), (table, summary)) in leaves.into_iter().zip(built) {
-        leaf_tables[a.index() - base] = Some(table);
-        r[a.index() - base] = summary;
+        leaf_tables[a.index()] = Some(table);
+        r[a.index()] = summary;
     }
 
-    // Inner `R_A` summaries over the shard's own depth strata: children of
-    // a depth-d rule are strictly shallower, so each stratum reads only
-    // strata already done.
-    let max_depth = members.iter().map(|&a| slp.depth_of(a)).max().unwrap_or(0) as usize;
+    // Inner R summaries, one depth stratum at a time.
+    let max_depth = order.iter().map(|&a| block.depth_of(a)).max().unwrap_or(0) as usize;
     let mut strata: Vec<Vec<NonTerminal>> = vec![Vec::new(); max_depth + 1];
-    for &a in members {
-        if matches!(slp.rule(a), NfRule::Pair(..)) {
-            strata[slp.depth_of(a) as usize].push(a);
+    for &a in order {
+        if matches!(block.rule(a), NfRule::Pair(..)) {
+            strata[block.depth_of(a) as usize].push(a);
         }
     }
     for stratum in strata.iter().filter(|s| !s.is_empty()) {
-        let summarise = |&a: &NonTerminal| {
-            let (b, c) = slp.children(a).expect("stratum members are inner rules");
-            RMatrix::product(&r[b.index() - base], &r[c.index() - base])
-        };
-        #[cfg(feature = "parallel")]
-        let computed = rayon::par_map(stratum, summarise);
-        #[cfg(not(feature = "parallel"))]
-        let computed: Vec<_> = stratum.iter().map(summarise).collect();
+        let computed = rayon::par_map(stratum, |&a| {
+            let (b, c) = block.children(a).expect("stratum members are inner rules");
+            RMatrix::product(&r[b.index()], &r[c.index()])
+        });
         for (&a, summary) in stratum.iter().zip(computed) {
-            r[a.index() - base] = summary;
+            r[a.index()] = summary;
         }
     }
 
@@ -307,28 +275,21 @@ fn shard_pass<T: Terminal>(
 }
 
 impl Preprocessed {
-    /// Runs the preprocessing of Lemma 6.5 in time `O(|M| + size(S)·q³)`.
-    ///
-    /// With the `parallel` feature (default on) the matrix pass is
-    /// data-parallel over grammar levels; the result is identical to
-    /// [`Preprocessed::build_serial`].
+    /// Runs the preprocessing of Lemma 6.5 in time `O(|M| + size(S)·q³)`:
+    /// `block_pass` over the whole grammar, data-parallel over its depth
+    /// strata.  The result is identical to [`Preprocessed::build_serial`].
     pub fn build<T: Terminal>(
         nfa: &Nfa<MarkedSymbol<T>>,
         slp: &NormalFormSlp<T>,
         num_vars: usize,
     ) -> Self {
-        #[cfg(feature = "parallel")]
-        {
-            Self::build_parallel(nfa, slp, num_vars)
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            Self::build_serial(nfa, slp, num_vars)
-        }
+        let (r, leaf_tables) = block_pass(nfa, slp);
+        Self::assemble(nfa, slp, num_vars, r, leaf_tables)
     }
 
-    /// Single-threaded preprocessing (always available, identical output to
-    /// [`Preprocessed::build`]).
+    /// Single-threaded preprocessing, the oracle the tests compare
+    /// [`Preprocessed::build`] and the sharded build against (identical
+    /// output).
     pub fn build_serial<T: Terminal>(
         nfa: &Nfa<MarkedSymbol<T>>,
         slp: &NormalFormSlp<T>,
@@ -359,124 +320,23 @@ impl Preprocessed {
         Self::assemble(nfa, slp, num_vars, r, leaf_tables)
     }
 
-    /// Level-parallel preprocessing: leaf tables are embarrassingly
-    /// parallel, and the inner `R_A` pass proceeds over depth strata of the
-    /// grammar DAG (every `A → BC` has `depth(A) > depth(B), depth(C)`, so
-    /// all summaries of one stratum can be computed concurrently from the
-    /// strata below).
-    #[cfg(feature = "parallel")]
-    pub fn build_parallel<T: Terminal>(
-        nfa: &Nfa<MarkedSymbol<T>>,
-        slp: &NormalFormSlp<T>,
-        num_vars: usize,
-    ) -> Self {
-        let q = nfa.num_states();
-        let n = slp.num_non_terminals();
-        let incoming_markers = incoming_marker_arcs(nfa, q);
-
-        // Leaf tables M_{T_x}: independent per leaf non-terminal.
-        let leaves: Vec<(NonTerminal, T)> = slp
-            .bottom_up_order()
-            .iter()
-            .filter_map(|&a| match slp.rule(a) {
-                NfRule::Leaf(x) => Some((a, x)),
-                NfRule::Pair(..) => None,
-            })
-            .collect();
-        let built = rayon::par_map(&leaves, |&(_, x)| leaf_table(nfa, &incoming_markers, q, x));
-        let mut leaf_tables: Vec<Option<Vec<Vec<PartialMarkerSet>>>> = vec![None; n];
-        let mut r: Vec<RMatrix> = vec![RMatrix::bot(0); n];
-        for ((a, _), (table, summary)) in leaves.into_iter().zip(built) {
-            leaf_tables[a.index()] = Some(table);
-            r[a.index()] = summary;
-        }
-
-        // Inner R summaries, one depth stratum at a time.  The children of
-        // a depth-d rule have depth < d, so bucketing ALL inner rules by
-        // depth (not just contiguous topological runs, which fragment badly
-        // on real grammars) yields a wave schedule: each stratum only reads
-        // summaries from strictly earlier strata.  The maximum is taken over
-        // every rule, not `depth(S₀)`: rules unreachable from the start may
-        // be deeper than the start symbol itself.
-        let max_depth = slp
-            .bottom_up_order()
-            .iter()
-            .map(|&a| slp.depth_of(a))
-            .max()
-            .unwrap_or(0) as usize;
-        let mut strata: Vec<Vec<NonTerminal>> = vec![Vec::new(); max_depth + 1];
-        for &a in slp.bottom_up_order() {
-            if matches!(slp.rule(a), NfRule::Pair(..)) {
-                strata[slp.depth_of(a) as usize].push(a);
-            }
-        }
-        for stratum in strata.iter().filter(|s| !s.is_empty()) {
-            let computed = rayon::par_map(stratum, |&a| {
-                let (b, c) = slp.children(a).expect("stratum members are inner rules");
-                RMatrix::product(&r[b.index()], &r[c.index()])
-            });
-            for (&a, summary) in stratum.iter().zip(computed) {
-                r[a.index()] = summary;
-            }
-        }
-
-        Self::assemble(nfa, slp, num_vars, r, leaf_tables)
-    }
-
     /// Scatter-gather preprocessing over a sharded grammar (see
     /// [`slp::shard`]): every shard's rule block is a self-contained
-    /// sub-grammar, so the per-shard matrix passes (leaf tables plus a
-    /// depth-strata `R_A` wave schedule *within* each shard) run fully
-    /// independently — with the `parallel` feature, concurrently — and only
-    /// the composition spine (shard concatenation plus the end-of-document
-    /// sentinel) is merged afterwards by three-valued matrix products at
-    /// the root.
-    ///
-    /// The output matrices are identical to [`Preprocessed::build_serial`]
-    /// on the same grammar (every entry is computed by the same function
-    /// from the same children); only the [`Preprocessed::shards`] metadata
-    /// records the composition plan.  The returned [`ShardBuildStats`]
-    /// report the per-shard and merge wall-clock.
-    ///
-    /// This convenience form runs every shard in-process; it is
-    /// [`Preprocessed::build_sharded_with`] over the default
-    /// [`LocalExecutor`].
-    pub fn build_sharded(
-        nfa: &Nfa<MarkedSymbol<EByte>>,
-        slp: &NormalFormSlp<EByte>,
-        num_vars: usize,
-        layout: &ShardLayout,
-    ) -> (Self, ShardBuildStats) {
-        Self::build_sharded_with(nfa, slp, num_vars, layout, &LocalExecutor)
-    }
-
-    /// Scatter-gather preprocessing generic over the shard backend: the
-    /// per-shard passes are delegated to `executor` as self-contained
-    /// [`ShardJob`]s (standalone rebased rule blocks — never the document
-    /// text), and only their summary rows come back; the leaf `M_{T_x}`
-    /// tables of shards whose executor did not compute them in-process are
-    /// rebuilt locally from the automaton (they depend on nothing else),
-    /// and the composition spine is merged at the root from the shards'
-    /// `q×q` root summaries exactly as in the local path.
+    /// sub-grammar, so its pass runs independently as a [`ShardJob`] on
+    /// `executor` (standalone rebased rules — never the document text), the
+    /// jobs run concurrently, and only the composition spine (shard
+    /// concatenation plus the end-of-document sentinel) is merged at the
+    /// root by three-valued matrix products.  Leaf `M_{T_x}` tables an
+    /// executor did not return are rebuilt locally from the automaton.
     ///
     /// Every executor that honours the [`ShardExecutor`] contract yields
-    /// matrices identical to [`Preprocessed::build_serial`].
-    pub fn build_sharded_with(
-        nfa: &Nfa<MarkedSymbol<EByte>>,
-        slp: &NormalFormSlp<EByte>,
-        num_vars: usize,
-        layout: &ShardLayout,
-        executor: &dyn ShardExecutor,
-    ) -> (Self, ShardBuildStats) {
-        Self::build_sharded_traced(nfa, slp, num_vars, layout, executor, None)
-    }
-
-    /// [`Preprocessed::build_sharded_with`] for a *sampled* request: the
-    /// trace handle rides down into every [`ShardJob`], executors record
-    /// per-shard spans in the request timebase, and the returned
-    /// [`ShardBuildStats::spans`] fragment additionally covers the root
-    /// merge.  Passing `None` is exactly the untraced build.
-    pub fn build_sharded_traced(
+    /// matrices identical to [`Preprocessed::build_serial`]; only
+    /// [`Preprocessed::shards`] records the composition plan.  The returned
+    /// [`ShardBuildStats`] report the per-shard and merge wall-clock.  With
+    /// a sampled `trace`, executors record per-shard spans in the request
+    /// timebase and [`ShardBuildStats::spans`] also covers the root merge;
+    /// `None` is the untraced build.
+    pub fn build_sharded(
         nfa: &Nfa<MarkedSymbol<EByte>>,
         slp: &NormalFormSlp<EByte>,
         num_vars: usize,
@@ -521,9 +381,8 @@ impl Preprocessed {
         let deduped = blocks.len() - unique.len();
 
         // Scatter: one self-contained job per *unique* shard block, fanned
-        // out over the executor (concurrently with the `parallel` feature —
-        // for remote executors that means wire calls to several workers in
-        // flight).
+        // out concurrently over the executor (for remote executors that
+        // means wire calls to several workers in flight).
         let jobs: Vec<ShardJob<'_>> = unique
             .iter()
             .map(|&shard_index| ShardJob {
@@ -533,11 +392,7 @@ impl Preprocessed {
                 trace,
             })
             .collect();
-        let run_shard = |job: &ShardJob<'_>| executor.execute(job);
-        #[cfg(feature = "parallel")]
-        let unique_outcomes = rayon::par_map(&jobs, run_shard);
-        #[cfg(not(feature = "parallel"))]
-        let unique_outcomes: Vec<_> = jobs.iter().map(run_shard).collect();
+        let unique_outcomes = rayon::par_map(&jobs, |job| executor.execute(job));
 
         // Fan the unique outcomes back out to shard order.  Duplicates
         // clone the canonical rows at zero recorded cost but inherit its
@@ -815,6 +670,7 @@ impl Preprocessed {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::LocalExecutor;
     use crate::prepared::PreparedEvaluation;
     use slp::examples::{example_4_2, names_4_2};
     use spanner::examples::figure_2_spanner;
@@ -934,8 +790,14 @@ mod tests {
                 let ended = combined
                     .map_terminals(EByte::Byte)
                     .append_terminal(EByte::End);
-                let (via_shards, stats) =
-                    Preprocessed::build_sharded(query.nfa(), &ended, query.num_vars(), &layout);
+                let (via_shards, stats) = Preprocessed::build_sharded(
+                    query.nfa(),
+                    &ended,
+                    query.num_vars(),
+                    &layout,
+                    &LocalExecutor,
+                    None,
+                );
                 let serial = Preprocessed::build_serial(query.nfa(), &ended, query.num_vars());
                 // Identical matrices; only the composition plan differs.
                 assert_eq!(via_shards.r, serial.r, "k={k}");
@@ -969,7 +831,14 @@ mod tests {
         let ended = combined
             .map_terminals(EByte::Byte)
             .append_terminal(EByte::End);
-        let (pre, _) = Preprocessed::build_sharded(query.nfa(), &ended, query.num_vars(), &layout);
+        let (pre, _) = Preprocessed::build_sharded(
+            query.nfa(),
+            &ended,
+            query.num_vars(),
+            &layout,
+            &LocalExecutor,
+            None,
+        );
         let with_plan = pre.approx_bytes();
         let plan_bytes = pre.shards.capacity() * std::mem::size_of::<ShardInfo>();
         assert!(plan_bytes > 0);
@@ -984,7 +853,7 @@ mod tests {
     fn gather_redoes_a_malformed_shard_outcome_locally() {
         use crate::count::count_from_matrices;
         use crate::engine::{PreparedDocument, PreparedQuery};
-        use crate::executor::{LocalExecutor, ShardExecutor, ShardJob, ShardOutcome};
+        use crate::executor::{ShardExecutor, ShardJob, ShardOutcome};
         use slp::compress::{Bisection, Compressor};
         use slp::shard;
         use spanner::regex;
@@ -1010,12 +879,13 @@ mod tests {
         let ended = combined
             .map_terminals(EByte::Byte)
             .append_terminal(EByte::End);
-        let (via_shards, stats) = Preprocessed::build_sharded_with(
+        let (via_shards, stats) = Preprocessed::build_sharded(
             query.nfa(),
             &ended,
             query.num_vars(),
             &layout,
             &DropsARow,
+            None,
         );
         assert_eq!(stats.deduped, 0, "every shard block is distinct");
         assert_eq!(stats.fallbacks, 1);

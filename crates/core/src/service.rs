@@ -1331,9 +1331,9 @@ impl Service {
         }
     }
 
-    /// Serves a batch of requests, fanning out across a thread scope with
-    /// the `parallel` feature (one request after another without it).
-    /// Responses are in request order.
+    /// Serves a batch of requests, fanning out across a thread scope (one
+    /// request after another on a one-CPU host).  Responses are in request
+    /// order.
     ///
     /// Requests sharing a (query, document) pair deduplicate through the
     /// matrix cache.  Pairs that occur more than once in the batch have
@@ -1342,38 +1342,31 @@ impl Service {
     /// `O(size(S)·q³)` builds (the race would be benign, just wasteful);
     /// distinct cold pairs still build fully in parallel.
     pub fn run_batch(&self, requests: &[TaskRequest]) -> Vec<Result<TaskResponse, EvalError>> {
-        #[cfg(feature = "parallel")]
-        {
-            let mut occurrences: std::collections::HashMap<(usize, usize), usize> =
-                std::collections::HashMap::new();
-            for request in requests {
-                // Model checking never builds matrices — see `run`.
-                if !matches!(request.task, Task::ModelCheck(_)) {
-                    *occurrences
-                        .entry((request.query.index(), request.doc.index()))
-                        .or_default() += 1;
-                }
+        let mut occurrences: std::collections::HashMap<(usize, usize), usize> =
+            std::collections::HashMap::new();
+        for request in requests {
+            // Model checking never builds matrices — see `run`.
+            if !matches!(request.task, Task::ModelCheck(_)) {
+                *occurrences
+                    .entry((request.query.index(), request.doc.index()))
+                    .or_default() += 1;
             }
-            for (&(q, d), &n) in &occurrences {
-                if n > 1 {
-                    let query = self.query(QueryId(q));
-                    // A document removed mid-batch skips the pre-build; the
-                    // individual requests answer with the structured error.
-                    let Some(document) = self.try_document(DocumentId(d)) else {
-                        continue;
-                    };
-                    let (_, lookup) = document.matrices_with_stats(&query);
-                    self.counters.commit(None, Some(&lookup));
-                    self.record_shard_stats(DocumentId(d), &lookup);
-                    self.sweep_if_removed(DocumentId(d), &document, &lookup);
-                }
+        }
+        for (&(q, d), &n) in &occurrences {
+            if n > 1 {
+                let query = self.query(QueryId(q));
+                // A document removed mid-batch skips the pre-build; the
+                // individual requests answer with the structured error.
+                let Some(document) = self.try_document(DocumentId(d)) else {
+                    continue;
+                };
+                let (_, lookup) = document.matrices_with_stats(&query);
+                self.counters.commit(None, Some(&lookup));
+                self.record_shard_stats(DocumentId(d), &lookup);
+                self.sweep_if_removed(DocumentId(d), &document, &lookup);
             }
-            rayon::par_map(requests, |request| self.run(request))
         }
-        #[cfg(not(feature = "parallel"))]
-        {
-            requests.iter().map(|request| self.run(request)).collect()
-        }
+        rayon::par_map(requests, |request| self.run(request))
     }
 
     /// Serves one [`Task::Enumerate`] request *streamed*: results are
@@ -2135,8 +2128,8 @@ mod tests {
             assert_eq!(response.unwrap().outcome.as_count(), Some(64));
         }
         // One build total: the pre-build pass, which every request then hit
-        // (with the `parallel` feature the duplicate requests would
-        // otherwise race redundant builds; serially this holds trivially).
+        // (on a multi-core host the duplicate requests would otherwise race
+        // redundant builds; on one CPU this holds trivially).
         assert_eq!(service.document(d).cache_stats().misses, 1);
     }
 

@@ -1,12 +1,15 @@
 //! Integration tests for the two-stage evaluation engine behind the
 //! `Service` pool: query-side preparation is shared across documents,
 //! document-side preparation across queries, batch evaluation matches
-//! per-pair evaluation, and the parallel matrix pass is output-identical to
-//! the serial one.
+//! per-pair evaluation, and the depth-strata matrix pass is output-identical
+//! to the serial oracle.
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use slp_spanner::eval::matrices::Preprocessed;
 use slp_spanner::eval::prepared::end_transform_count;
 use slp_spanner::prelude::*;
+use slp_spanner::slp::compress::Chain;
 use slp_spanner::slp::families;
 use std::collections::BTreeSet;
 use std::sync::Mutex;
@@ -154,16 +157,27 @@ fn run_batch_matches_fresh_slp_spanner_per_pair() {
     }
 }
 
-/// The (default-on) parallel matrix pass produces matrices identical to the
-/// serial pass.  Under `--no-default-features` both sides take the serial
-/// path and the assertion is trivially true, so this test is meaningful
-/// exactly when `parallel` is enabled.
+/// `Preprocessed::build` — the one depth-strata pass, each stratum mapped
+/// across cores — produces matrices identical to the plain bottom-up
+/// `build_serial` oracle.  Besides the shared documents, two inputs cover
+/// both arms of `par_map`: a Chain grammar holds one rule per stratum (the
+/// serial arm), and RePair over a seeded random `{a,b}` text of 2 000
+/// symbols has strata wider than the thread count (the spawning arm).  On
+/// a one-CPU host every stratum takes the serial arm.
 #[test]
 fn parallel_matrices_equal_serial_matrices() {
     let _guard = COUNTER_LOCK.lock().unwrap();
+    let mut rng = StdRng::seed_from_u64(21);
+    let random_text: Vec<u8> = (0..2_000)
+        .map(|_| b"ab"[rng.gen_range(0..2usize)])
+        .collect();
+    let chain_text: Vec<u8> = b"aab".iter().copied().cycle().take(300).collect();
+    let mut docs = documents();
+    docs.push(Chain.compress(&chain_text));
+    docs.push(RePair::default().compress(&random_text));
     for query in &queries() {
         let prepared = PreparedQuery::determinized(query);
-        for doc in &documents() {
+        for doc in &docs {
             let prepared_doc = PreparedDocument::new(doc);
             let via_build =
                 Preprocessed::build(prepared.nfa(), prepared_doc.ended(), prepared.num_vars());

@@ -134,9 +134,8 @@ fn concurrent_evaluation_matches_the_serial_reference() {
     );
 }
 
-/// `run_batch` fans a mixed workload out across a thread scope (with the
-/// `parallel` feature) and must agree with request-by-request `run`s on a
-/// second service.
+/// `run_batch` fans a mixed workload out across a thread scope and must
+/// agree with request-by-request `run`s on a second service.
 #[test]
 fn run_batch_agrees_with_serial_runs() {
     let queries = pool_queries();
