@@ -560,7 +560,6 @@ impl ServiceBuilder {
             cache: Arc::new(MatrixCache::new(self.config.cache_budget)),
             config: self.config,
             counters: Counters::default(),
-            measured_ratios: RwLock::new(HashMap::new()),
             tenants: RwLock::new(tenants),
             doc_owners: RwLock::new(HashMap::new()),
             auto_probes: AtomicU64::new(0),
@@ -648,10 +647,6 @@ pub struct Service {
     cache: Arc<MatrixCache>,
     config: ServiceConfig,
     counters: Counters,
-    /// Last measured `critical_path()/total()` ratio per document index,
-    /// recorded from the [`ShardBuildStats`] of warm traffic and consumed
-    /// by [`Service::suggest_shard_count`].
-    measured_ratios: RwLock<HashMap<usize, f64>>,
     /// The tenant registry: id → configuration + live usage.  Tenant 0 (the
     /// default) is created with the service and never removed.
     tenants: RwLock<HashMap<u32, TenantState>>,
@@ -757,7 +752,7 @@ impl Service {
 
     /// Registers a document with an auto-tuned shard count: a cheap probe
     /// split estimates how well the grammar partitions
-    /// ([`slp::shard::estimate_critical_ratio`]) and
+    /// ([`slp::shard::critical_ratio`]) and
     /// [`slp::shard::auto_k`] turns that, the host's core count and the
     /// grammar size into `k`.  Exponentially shared grammars (power
     /// families) and small documents stay monolithic; large block-like
@@ -808,50 +803,9 @@ impl Service {
         self.auto_probes.load(Ordering::Relaxed)
     }
 
-    /// The shard count [`Service::add_document_auto`] would pick on a host
-    /// with `cores` cores (exposed for tests and capacity planning).
-    pub fn auto_shard_count(&self, document: &NormalFormSlp<u8>, cores: usize) -> usize {
-        if slp::shard::auto_k(document.size(), cores, 0.0) <= 1 {
-            return 1;
-        }
-        let ratio = slp::shard::estimate_critical_ratio(document, Self::probe_k(cores));
-        slp::shard::auto_k(document.size(), cores, ratio)
-    }
-
     /// Shard count of the structural probe split behind the auto policy.
     fn probe_k(cores: usize) -> usize {
         cores.clamp(2, 8)
-    }
-
-    /// Records the measured critical ratio of a scatter-gather build so
-    /// [`Service::suggest_shard_count`] can re-tune from warm traffic.
-    fn record_shard_stats(&self, d: DocumentId, lookup: &CacheLookup) {
-        let Some(stats) = &lookup.shard_stats else {
-            return;
-        };
-        let total = stats.total();
-        if total.is_zero() {
-            return;
-        }
-        let ratio = (stats.critical_path().as_secs_f64() / total.as_secs_f64()).clamp(0.0, 1.0);
-        let mut ratios = self
-            .measured_ratios
-            .write()
-            .expect("ratio map lock poisoned");
-        // Liveness re-check under the ratio lock: a concurrent
-        // `remove_document` burns the slot first and clears the ratio
-        // last, so checking here (and inserting before releasing the
-        // lock) can never leave a stale entry behind for a removed
-        // document.
-        let live = self
-            .documents
-            .read()
-            .expect("document pool lock poisoned")
-            .get(d.index())
-            .is_some_and(|slot| slot.is_some());
-        if live {
-            ratios.insert(d.index(), ratio);
-        }
     }
 
     /// Sweeps the matrices a request inserted for a document that was
@@ -866,44 +820,6 @@ impl Service {
         if !lookup.hit && self.try_document(d).is_none() {
             document.clear_cache();
         }
-    }
-
-    /// The last `critical_path()/total()` ratio measured for a document's
-    /// scatter-gather matrix builds (`None` until the first sharded build
-    /// of warm traffic, and always `None` for monolithic documents).
-    pub fn measured_critical_ratio(&self, d: DocumentId) -> Option<f64> {
-        self.measured_ratios
-            .read()
-            .expect("ratio map lock poisoned")
-            .get(&d.index())
-            .copied()
-    }
-
-    /// Re-shard advice from warm traffic: the shard count
-    /// [`slp::shard::auto_k`] picks for this document using the *measured*
-    /// `critical_path()/total()` ratio of its latest scatter-gather build
-    /// (recorded from [`TaskResponse::shard_stats`]) instead of the
-    /// structural probe alone.  Before any sharded build has run — or for
-    /// monolithic documents — this falls back to the structural estimate,
-    /// so the advice is always defined.
-    ///
-    /// A caller acting on the advice re-registers the document
-    /// ([`Service::add_document_sharded`] with the suggested `k`) and
-    /// retires the old id via [`Service::remove_document`].
-    pub fn suggest_shard_count(&self, d: DocumentId) -> usize {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        self.suggest_shard_count_for(d, cores)
-    }
-
-    /// [`Service::suggest_shard_count`] for an explicit core count
-    /// (capacity planning and tests).
-    pub fn suggest_shard_count_for(&self, d: DocumentId, cores: usize) -> usize {
-        let document = self.document(d);
-        let size = document.original().size();
-        let ratio = self.measured_critical_ratio(d).unwrap_or_else(|| {
-            slp::shard::estimate_critical_ratio(document.original(), Self::probe_k(cores))
-        });
-        slp::shard::auto_k(size, cores, ratio)
     }
 
     /// Registers an already prepared document, re-homing it (and any
@@ -1019,10 +935,6 @@ impl Service {
         match removed {
             Some(document) => {
                 document.clear_cache();
-                self.measured_ratios
-                    .write()
-                    .expect("ratio map lock poisoned")
-                    .remove(&d.index());
                 // Release the owning tenant's quota charge.
                 if let Some(owner) = self
                     .doc_owners
@@ -1253,7 +1165,6 @@ impl Service {
             self.trace_lookup(t, lookup_from.unwrap_or(0), &lookup);
         }
         self.counters.commit(Some(&request.task), Some(&lookup));
-        self.record_shard_stats(request.doc, &lookup);
         self.sweep_if_removed(request.doc, &document, &lookup);
 
         let exec_from = tracer.map(|t| t.now_us());
@@ -1362,7 +1273,6 @@ impl Service {
                 };
                 let (_, lookup) = document.matrices_with_stats(&query);
                 self.counters.commit(None, Some(&lookup));
-                self.record_shard_stats(DocumentId(d), &lookup);
                 self.sweep_if_removed(DocumentId(d), &document, &lookup);
             }
         }
@@ -1421,7 +1331,6 @@ impl Service {
             self.trace_lookup(t, lookup_from.unwrap_or(0), &lookup);
         }
         self.counters.commit(Some(&request.task), Some(&lookup));
-        self.record_shard_stats(request.doc, &lookup);
         self.sweep_if_removed(request.doc, &document, &lookup);
 
         let exec_from = tracer.map(|t| t.now_us());
@@ -1884,10 +1793,15 @@ mod tests {
     fn add_document_auto_matches_the_monolithic_results() {
         let service = Service::new();
         let q = service.add_query(&regex::compile(".*x{ab}.*", b"ab").unwrap());
+        // The shard count a 16-core host would pick, whatever this host has.
+        let advice_on_16_cores = |doc: &slp::NormalFormSlp<u8>| {
+            let ratio = slp::shard::critical_ratio(&slp::shard::split(doc, 8), doc.size());
+            slp::shard::auto_k(doc.size(), 16, ratio)
+        };
         // A power family is exponentially shared: auto keeps it monolithic
         // on any core count.
         let power = families::power_word(b"ab", 1 << 16);
-        assert_eq!(service.auto_shard_count(&power, 16), 1);
+        assert_eq!(advice_on_16_cores(&power), 1);
         let d_auto = service.add_document_auto(&power);
         assert!(!service.document(d_auto).is_sharded());
         let response = service
@@ -1910,7 +1824,7 @@ mod tests {
             })
             .collect();
         let slp = slp::NormalFormSlp::from_document(&block).unwrap();
-        assert!(service.auto_shard_count(&slp, 16) > 1);
+        assert!(advice_on_16_cores(&slp) > 1);
         let d_block = service.add_document_auto(&slp);
         let reference =
             SlpSpanner::new(&regex::compile(".*x{ab}.*", b"ab").unwrap(), &slp).unwrap();

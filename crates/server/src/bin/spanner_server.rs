@@ -6,8 +6,6 @@
 //!                [--page-size N] [--cache-budget BYTES]
 //!                [--block-cache-budget BYTES]
 //!                [--data-dir DIR] [--snapshot-every N] [--snapshot-bytes B]
-//!                [--reshard-interval-ms MS] [--reshard-rounds N]
-//!                [--reshard-cores N]
 //!                [--worker] [--workers ADDR,ADDR,...]
 //!                [--health-interval-ms MS] [--hedge-after-ms MS]
 //!                [--slow-log-ms MS] [--trace-sample-rate R]
@@ -38,12 +36,6 @@
 //! prints `RECOVERED docs=<n> tenants=<n> verbs=<n> snapshot=<bool>`
 //! before `LISTENING`.
 //!
-//! `--reshard-interval-ms MS` enables the background auto re-shard policy:
-//! every interval, documents whose registered shard count persistently
-//! diverges (for `--reshard-rounds` consecutive rounds, default 3) from
-//! the measured cost model's advice are transparently re-registered at the
-//! advised count.
-//!
 //! `--slow-log-ms MS` arms the slow-query log: any task slower than MS
 //! milliseconds emits its span tree as one structured JSON line on stderr
 //! (rate-limited to one line per second).  `--trace-sample-rate R` (a
@@ -66,9 +58,7 @@
 //! to learn an ephemeral port), then serves until a client sends the
 //! `shutdown` verb; exits 0 after a clean drain.
 
-use spanner_server::{
-    PersistenceOptions, RemoteExecutor, ReshardOptions, Server, ServerConfig, ServerOptions,
-};
+use spanner_server::{PersistenceOptions, RemoteExecutor, Server, ServerConfig, ServerOptions};
 use spanner_slp_core::Service;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -84,9 +74,6 @@ fn main() {
     let mut snapshot_bytes: u64 = 0;
     let mut health_interval_ms: u64 = 1000;
     let mut hedge_after_ms: u64 = 0;
-    let mut reshard_interval_ms: Option<u64> = None;
-    let mut reshard_rounds: u32 = ReshardOptions::default().rounds;
-    let mut reshard_cores: Option<usize> = None;
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -126,11 +113,6 @@ fn main() {
                 i += 1;
                 continue;
             }
-            "--reshard-interval-ms" => {
-                reshard_interval_ms = Some(parse(&value(i), "--reshard-interval-ms") as u64)
-            }
-            "--reshard-rounds" => reshard_rounds = parse(&value(i), "--reshard-rounds") as u32,
-            "--reshard-cores" => reshard_cores = Some(parse(&value(i), "--reshard-cores")),
             "--worker" => {
                 config.worker = true;
                 i += 1;
@@ -149,7 +131,6 @@ fn main() {
                      [--max-frame BYTES] [--page-size N] [--cache-budget BYTES] \
                      [--block-cache-budget BYTES] \
                      [--data-dir DIR] [--snapshot-every N] [--snapshot-bytes B] \
-                     [--reshard-interval-ms MS] [--reshard-rounds N] [--reshard-cores N] \
                      [--worker] [--workers ADDR,ADDR,...] \
                      [--health-interval-ms MS] [--hedge-after-ms MS] [--slow-log-ms MS] \
                      [--trace-sample-rate R] [--pipeline-window N] [--sched-workers N] \
@@ -198,11 +179,6 @@ fn main() {
             snapshot_bytes,
         }),
         remote,
-        reshard: reshard_interval_ms.map(|ms| ReshardOptions {
-            interval: Duration::from_millis(ms),
-            rounds: reshard_rounds,
-            cores: reshard_cores,
-        }),
     };
     let server = match Server::bind_with(addr.as_str(), builder.build(), options) {
         Ok(server) => server,

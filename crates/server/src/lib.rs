@@ -76,9 +76,7 @@ pub use spanner_store::json;
 pub use client::{retry_busy, Client, ClientError, DocReceipt, PipelinedClient, PipelinedReply};
 pub use proto::{ErrorCode, FrameMeta, Request, Response, WireNfa, WireTask, PROTOCOL_VERSION};
 pub use remote::RemoteExecutor;
-pub use server::{
-    PersistenceOptions, RecoveryReport, ReshardOptions, Server, ServerConfig, ServerOptions,
-};
+pub use server::{PersistenceOptions, RecoveryReport, Server, ServerConfig, ServerOptions};
 // The tenant spec doubles as the wire `tenant_create`/`tenant_update`
 // payload; re-exported so clients need not depend on the store crate.
 pub use spanner_store::TenantSpec;

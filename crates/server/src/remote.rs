@@ -868,8 +868,9 @@ impl ShardExecutor for RemoteExecutor {
                 outcome.hedged = hedged;
                 // Charge the failed remote attempt (connect, stall, up to
                 // the full timeout) to this shard too: the build really
-                // did wait that long, and the measured critical-path
-                // ratios fed to re-shard advice must see it.
+                // did wait that long, and `ShardBuildStats::critical_path`
+                // (the `remote.critical_path_us` benchmark metric) must
+                // see the wait.
                 outcome.elapsed = start.elapsed();
                 self.pool
                     .pass_hist

@@ -89,8 +89,8 @@
 //!
 //! With a [`Store`] attached (see [`ServerOptions::persistence`]), every
 //! successful corpus mutation — registrations with their *resolved* shard
-//! counts, removals, tenant changes, policy re-shards — is appended to the
-//! durable log before the response is written, and a snapshot is cut every
+//! counts, removals, tenant changes — is appended to the durable log
+//! before the response is written, and a snapshot is cut every
 //! `snapshot_every` verbs.  [`Server::bind_with`] replays the store on
 //! boot, reconstructing tenants, quotas, wire ids (including burned ones)
 //! and shard layouts bit-identically — recorded shard counts are replayed
@@ -199,9 +199,9 @@ impl Default for ServerConfig {
 }
 
 /// Everything beyond [`ServerConfig`] a durable, multi-tenant deployment
-/// wires in: persistence, a remote worker pool handle (for fallback
-/// observability) and the auto re-shard policy.  The in-memory default
-/// (`ServerOptions::from(config)`) behaves exactly like [`Server::bind`].
+/// wires in: persistence and a remote worker pool handle (for fallback
+/// observability).  The in-memory default (`ServerOptions::from(config)`)
+/// behaves exactly like [`Server::bind`].
 #[derive(Debug, Default)]
 pub struct ServerOptions {
     /// The transport knobs.
@@ -212,8 +212,6 @@ pub struct ServerOptions {
     /// The remote executor the service scatters over, if any — held here
     /// so `stats` can export its fallback count.
     pub remote: Option<Arc<RemoteExecutor>>,
-    /// Run the background auto re-shard policy.
-    pub reshard: Option<ReshardOptions>,
 }
 
 impl From<ServerConfig> for ServerOptions {
@@ -239,35 +237,6 @@ pub struct PersistenceOptions {
     /// otherwise ride the log between cadence cuts.  `0` disables the
     /// size trigger.
     pub snapshot_bytes: u64,
-}
-
-/// Knobs of the background auto re-shard policy: every `interval` it
-/// compares each document's registered shard count with
-/// [`Service::suggest_shard_count_for`]'s advice, and after `rounds`
-/// *consecutive* diverging observations re-registers the document at the
-/// advised count — new layout built under a fresh service id, wire slot
-/// swapped atomically, old id removed, and a `reshard` verb logged so the
-/// decision survives restarts.
-#[derive(Debug, Clone)]
-pub struct ReshardOptions {
-    /// How often the policy scans the corpus.
-    pub interval: Duration,
-    /// Consecutive diverging observations required before acting (guards
-    /// against advice that flaps with cache-warmth noise).
-    pub rounds: u32,
-    /// Core count handed to the advisor; `None` uses the host's
-    /// parallelism.  Fixing it makes the policy deterministic in tests.
-    pub cores: Option<usize>,
-}
-
-impl Default for ReshardOptions {
-    fn default() -> Self {
-        ReshardOptions {
-            interval: Duration::from_secs(30),
-            rounds: 3,
-            cores: None,
-        }
-    }
 }
 
 /// What boot-time replay reconstructed (see [`Server::recovery`]).
@@ -296,7 +265,6 @@ struct Metrics {
     oversized_frames: AtomicU64,
     pages_streamed: AtomicU64,
     quota_rejections: AtomicU64,
-    reshards: AtomicU64,
     /// Queued requests dropped because their deadline elapsed while
     /// queued (answered with [`ErrorCode::Expired`], never executed).
     shed_expired: AtomicU64,
@@ -607,11 +575,6 @@ impl Shared {
             "spanner_server_block_cache_resident_bytes",
             &[],
             cache.resident_bytes(),
-        );
-        m.counter(
-            "spanner_server_reshards_total",
-            &[],
-            v.reshards.load(Ordering::Relaxed),
         );
         // Work holding a permit, inline on a reader or on a dispatcher.
         let (running, depths) = self.scheduler.gauges();
@@ -1134,7 +1097,6 @@ pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
     accept: Option<JoinHandle<()>>,
-    reshard: Option<JoinHandle<()>>,
     dispatchers: Vec<JoinHandle<()>>,
     recovery: Option<RecoveryReport>,
 }
@@ -1142,8 +1104,8 @@ pub struct Server {
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts serving
     /// `service` with the given configuration — in-memory, single
-    /// (default) tenant, no policy threads.  See [`Server::bind_with`] for
-    /// the durable / multi-tenant variant.
+    /// (default) tenant.  See [`Server::bind_with`] for the durable /
+    /// multi-tenant variant.
     pub fn bind(
         addr: impl ToSocketAddrs,
         service: Service,
@@ -1153,8 +1115,8 @@ impl Server {
     }
 
     /// Binds `addr` with the full option set: optional durable store
-    /// (replayed into `service` before the socket opens), optional remote
-    /// pool handle, optional auto re-shard policy.
+    /// (replayed into `service` before the socket opens) and optional
+    /// remote pool handle.
     pub fn bind_with(
         addr: impl ToSocketAddrs,
         service: Service,
@@ -1164,7 +1126,6 @@ impl Server {
             config,
             persistence,
             remote,
-            reshard,
         } = options;
         let mut documents: HashMap<u32, Vec<Option<DocumentId>>> = HashMap::new();
         let mut persist = None;
@@ -1227,15 +1188,10 @@ impl Server {
             let shared = shared.clone();
             std::thread::spawn(move || accept_loop(listener, shared))
         };
-        let reshard = reshard.map(|opts| {
-            let shared = shared.clone();
-            std::thread::spawn(move || reshard_loop(shared, opts))
-        });
         Ok(Server {
             shared,
             addr,
             accept: Some(accept),
-            reshard,
             dispatchers,
             recovery,
         })
@@ -1283,9 +1239,6 @@ impl Server {
         for dispatcher in std::mem::take(&mut self.dispatchers) {
             dispatcher.join().expect("scheduler dispatcher panicked");
         }
-        if let Some(reshard) = self.reshard.take() {
-            reshard.join().expect("reshard policy panicked");
-        }
     }
 
     /// [`Server::request_shutdown`] + [`Server::join`].
@@ -1306,9 +1259,6 @@ impl Drop for Server {
         self.shared.scheduler.stop();
         for dispatcher in std::mem::take(&mut self.dispatchers) {
             let _ = dispatcher.join();
-        }
-        if let Some(reshard) = self.reshard.take() {
-            let _ = reshard.join();
         }
     }
 }
@@ -1392,120 +1342,6 @@ fn replay(
         tenants: image.tenants.len() as u64,
         ..Default::default()
     })
-}
-
-/// The background auto re-shard policy: every `interval`, compare each
-/// live document's registered shard count with the advice of the measured
-/// cost model.  After `rounds` consecutive divergences towards the *same*
-/// advice, the document is transparently re-registered: build the new
-/// layout under a fresh service id, atomically swap the wire slot, remove
-/// the old id, and record a `reshard` verb so the decision survives a
-/// restart.  Queries keep working throughout — the swap happens only after
-/// the new layout is fully built.
-fn reshard_loop(shared: Arc<Shared>, opts: ReshardOptions) {
-    let cores = opts
-        .cores
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    // (tenant, wire id) → (advice, consecutive rounds it has held).
-    let mut streaks: HashMap<(u32, u64), (usize, u32)> = HashMap::new();
-    let tick = Duration::from_millis(25);
-    'policy: loop {
-        let mut slept = Duration::ZERO;
-        while slept < opts.interval {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                break 'policy;
-            }
-            std::thread::sleep(tick);
-            slept += tick;
-        }
-        let corpus: Vec<(u32, u64, DocumentId)> = {
-            let documents = shared.documents.read().expect("document map poisoned");
-            documents
-                .iter()
-                .flat_map(|(&tenant, namespace)| {
-                    namespace
-                        .iter()
-                        .enumerate()
-                        .filter_map(move |(wire_id, slot)| {
-                            slot.map(|id| (tenant, wire_id as u64, id))
-                        })
-                })
-                .collect()
-        };
-        let live: std::collections::HashSet<(u32, u64)> =
-            corpus.iter().map(|&(t, w, _)| (t, w)).collect();
-        streaks.retain(|key, _| live.contains(key));
-        for (tenant, wire_id, old_id) in corpus {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                break 'policy;
-            }
-            // `try_document`: the document may race with a remove.
-            let Some(doc) = shared.service.try_document(old_id) else {
-                streaks.remove(&(tenant, wire_id));
-                continue;
-            };
-            let current = doc.shard_count();
-            let advice = shared.service.auto_shard_count(doc.original(), cores);
-            if advice == current {
-                streaks.remove(&(tenant, wire_id));
-                continue;
-            }
-            let streak = match streaks.get(&(tenant, wire_id)) {
-                Some(&(held, n)) if held == advice => n + 1,
-                _ => 1,
-            };
-            if streak < opts.rounds.max(1) {
-                streaks.insert((tenant, wire_id), (advice, streak));
-                continue;
-            }
-            streaks.remove(&(tenant, wire_id));
-            // Build the replacement first (the quota is transiently
-            // double-charged; a refusal just skips this round).
-            let slp = doc.original().clone();
-            let new_id =
-                match shared
-                    .service
-                    .add_document_sharded_for(TenantId(tenant), &slp, advice)
-                {
-                    Ok(id) => id,
-                    Err(e) => {
-                        eprintln!(
-                            "spanner-server: reshard of tenant {tenant} doc {wire_id} \
-                         skipped: {e}"
-                        );
-                        continue;
-                    }
-                };
-            // Swap only if the slot still points at the layout we measured;
-            // otherwise a concurrent remove/re-add won the race.
-            let swapped = {
-                let mut documents = shared.documents.write().expect("document map poisoned");
-                match documents
-                    .get_mut(&tenant)
-                    .and_then(|namespace| namespace.get_mut(wire_id as usize))
-                {
-                    Some(slot) if *slot == Some(old_id) => {
-                        *slot = Some(new_id);
-                        true
-                    }
-                    _ => false,
-                }
-            };
-            if !swapped {
-                shared.service.remove_document(new_id);
-                continue;
-            }
-            shared.service.remove_document(old_id);
-            shared.metrics.reshards.fetch_add(1, Ordering::Relaxed);
-            if let Some(persist) = &shared.persist {
-                persist.record(&LogVerb::Reshard {
-                    tenant,
-                    wire_id,
-                    shards: advice as u64,
-                });
-            }
-        }
-    }
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {

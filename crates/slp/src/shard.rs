@@ -200,10 +200,8 @@ const MIN_SHARD_RULES: usize = 256;
 ///
 /// The returned `k` is `1/critical_ratio` rounded, capped by `cores` and by
 /// the grammar size (each shard must be worth ≥ 256 rules);
-/// tiny grammars and single-core hosts always get `k = 1`.  Feed it
-/// [`estimate_critical_ratio`] for a structural estimate at registration
-/// time, or a measured `critical_path()/total()` from
-/// `ShardBuildStats` to re-tune a live document.
+/// tiny grammars and single-core hosts always get `k = 1`.  Feed it the
+/// [`critical_ratio`] of a probe split at registration time.
 pub fn auto_k(size: usize, cores: usize, critical_ratio: f64) -> usize {
     let cores = cores.max(1);
     if cores == 1 || size < 2 * MIN_SHARD_RULES {
@@ -217,23 +215,18 @@ pub fn auto_k(size: usize, cores: usize, critical_ratio: f64) -> usize {
     ((1.0 / ratio).round() as usize).clamp(1, cap)
 }
 
-/// Estimates the critical ratio of splitting `slp` into `k` shards without
+/// Estimates the critical ratio of an already performed split without
 /// building any matrices: the matrix pass costs `O(rules · q³)` per shard,
 /// so `max(shard size) / size(S)` approximates the fraction of the
 /// monolithic pass the slowest shard would still pay.  Near `1/k` when the
 /// shards partition the grammar; near `1` (or above, clamped) when the
 /// grammar's shared structure is duplicated into every shard.
+/// `original_size` is the rule count of the unsplit grammar.
 ///
-/// The probe only runs grammar surgery ([`split`] + garbage collection),
-/// no evaluation — cheap enough to call once per document registration.
-pub fn estimate_critical_ratio<T: Terminal>(slp: &NormalFormSlp<T>, k: usize) -> f64 {
-    critical_ratio(&split(slp, k), slp.size())
-}
-
-/// The [`estimate_critical_ratio`] of an already performed split, so a
-/// caller that goes on to *use* the split (e.g. auto-tuned registration)
-/// pays the grammar surgery once, not twice.  `original_size` is the rule
-/// count of the unsplit grammar.
+/// The probe split is only grammar surgery ([`split`] + garbage
+/// collection), no evaluation — cheap enough to run once per document
+/// registration, and a caller that goes on to *use* the split (auto-tuned
+/// registration) pays that surgery once, not twice.
 pub fn critical_ratio<T: Terminal>(sharded: &ShardedDocument<T>, original_size: usize) -> f64 {
     let size = original_size.max(1);
     let max_shard = sharded
@@ -511,10 +504,10 @@ mod tests {
         // tiny, and the estimated critical ratio is ~1.
         let doc = families::power_word(b"ab", 1 << 20);
         assert!(doc.size() < 2 * MIN_SHARD_RULES);
-        assert_eq!(auto_k(doc.size(), 8, estimate_critical_ratio(&doc, 8)), 1);
+        let ratio = critical_ratio(&split(&doc, 8), doc.size());
+        assert_eq!(auto_k(doc.size(), 8, ratio), 1);
         // Even pretending the grammar were large, the ratio alone says "do
         // not shard".
-        let ratio = estimate_critical_ratio(&doc, 8);
         assert!(ratio > 0.8, "power-family shards duplicate the grammar");
         assert_eq!(auto_k(1 << 20, 8, ratio), 1);
     }
@@ -534,7 +527,7 @@ mod tests {
             .collect();
         let slp = NormalFormSlp::from_document(&doc).unwrap();
         assert!(slp.size() >= 2 * MIN_SHARD_RULES);
-        let ratio = estimate_critical_ratio(&slp, 8);
+        let ratio = critical_ratio(&split(&slp, 8), slp.size());
         assert!(ratio < 0.5, "block shards partition the grammar: {ratio}");
         let k = auto_k(slp.size(), 8, ratio);
         assert!(k >= 4, "auto_k should spend the cores, got {k}");

@@ -6,7 +6,8 @@
 //!
 //! * **Append log** (`corpus.log`): every corpus mutation — document
 //!   registration with its *resolved* shard count, removal, tenant
-//!   create/update, re-shard swaps — is one [`LogVerb`] serialized as a
+//!   create/update (and re-shard swaps, which earlier builds wrote and
+//!   replay still applies) — is one [`LogVerb`] serialized as a
 //!   newline-terminated canonical-JSON line carrying a monotone sequence
 //!   number.  Appends are acknowledged after a buffered write reaches the
 //!   kernel, so a `kill -9` of the process loses nothing that was acked.

@@ -8,6 +8,7 @@ use spanner_server::{
     ServerOptions, TenantSpec,
 };
 use spanner_slp_core::Service;
+use spanner_store::{LogVerb, Store};
 use std::path::PathBuf;
 
 const CADENCE_TRIGGERS: &str = "spanner_store_snapshot_triggers_total{trigger=\"cadence\"}";
@@ -278,6 +279,53 @@ fn shard_layouts_survive_restart() {
     let (a, _) = client.count(q, 0).unwrap();
     let (b, _) = client.count(q, 1).unwrap();
     assert_eq!(a, b, "replayed layout answers like a fresh registration");
+    client.shutdown().unwrap();
+    server.join();
+}
+
+/// A log written by an earlier build may hold `reshard` records (a
+/// background policy once re-cut documents and logged the new count).
+/// Replay must still boot such a directory at the recorded count, with
+/// no `auto_k` probe, and answer like a fresh registration.
+#[test]
+fn recorded_reshards_replay_at_the_recorded_shard_count() {
+    let dir = TempDir::new("reshard");
+    let text = b"abababababababababababababababab";
+    {
+        let (store, _) = Store::open(&dir.0).unwrap();
+        store
+            .append(&LogVerb::AddDoc {
+                tenant: 0,
+                wire_id: 0,
+                text: text.to_vec(),
+                shards: 1,
+            })
+            .unwrap();
+        store
+            .append(&LogVerb::Reshard {
+                tenant: 0,
+                wire_id: 0,
+                shards: 3,
+            })
+            .unwrap();
+    }
+    let server = boot_durable(&dir, 0);
+    assert_eq!(server.recovery().unwrap().documents, 1);
+    assert_eq!(server.service().auto_probe_count(), 0);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let q = client.add_query(".*x{ab}.*", b"ab").unwrap();
+    client.set_tracing(true);
+    let (replayed, _) = client.count(q, 0).unwrap();
+    let spans = client
+        .last_trace()
+        .expect("sampled cold build returns a trace");
+    let passes = spans.iter().filter(|s| s.name == "shard_pass").count();
+    assert_eq!(passes, 3, "replayed at the recorded count: {spans:?}");
+    client.set_tracing(false);
+    let fresh = client.add_doc_sharded(text, 1).unwrap();
+    assert_eq!(fresh.shards, 1);
+    let (monolithic, _) = client.count(q, fresh.id).unwrap();
+    assert_eq!(replayed, monolithic);
     client.shutdown().unwrap();
     server.join();
 }

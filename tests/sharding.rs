@@ -307,70 +307,6 @@ fn global_budget_is_shared_across_documents_and_shards() {
     );
 }
 
-/// Re-shard advice feeds *measured* shard stats back into `auto_k`: before
-/// warm traffic the advice is the structural probe, after a scatter-gather
-/// build it is driven by the recorded `critical_path()/total()` ratio, and
-/// removal forgets the measurement.
-#[test]
-fn suggest_shard_count_feeds_measured_ratios_into_auto_k() {
-    let service = Service::new();
-    let q = service.add_query(&compile_query(".*x{ab}.*", b"ab").unwrap());
-
-    // A low-repetitiveness block document, deliberately under-sharded.
-    let mut state = 0x2545_F491_4F6C_DD1Du64;
-    let text: Vec<u8> = (0..4096)
-        .map(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            b'a' + (state % 2) as u8
-        })
-        .collect();
-    let slp = NormalFormSlp::from_document(&text).unwrap();
-    let d = service.add_document_sharded(&slp, 2);
-
-    // Cold: no measurement yet, the structural probe answers.
-    assert!(service.measured_critical_ratio(d).is_none());
-    assert_eq!(
-        service.suggest_shard_count_for(d, 8),
-        shard::auto_k(slp.size(), 8, shard::estimate_critical_ratio(&slp, 8))
-    );
-
-    // Warm traffic records the measured ratio of the scatter-gather build.
-    let response = service
-        .run(&TaskRequest {
-            query: q,
-            doc: d,
-            task: Task::Count,
-        })
-        .unwrap();
-    let stats = response.shard_stats.expect("cold sharded build");
-    let measured = service
-        .measured_critical_ratio(d)
-        .expect("sharded builds record their ratio");
-    let expected =
-        (stats.critical_path().as_secs_f64() / stats.total().as_secs_f64()).clamp(0.0, 1.0);
-    assert!((measured - expected).abs() < 1e-9);
-    assert_eq!(
-        service.suggest_shard_count_for(d, 8),
-        shard::auto_k(slp.size(), 8, measured),
-        "warm advice is driven by the measurement, not the structural probe"
-    );
-
-    // Monolithic documents never record a ratio; removal forgets it.
-    let mono = service.add_document(&slp);
-    service
-        .run(&TaskRequest {
-            query: q,
-            doc: mono,
-            task: Task::Count,
-        })
-        .unwrap();
-    assert!(service.measured_critical_ratio(mono).is_none());
-    assert!(service.remove_document(d));
-    assert!(service.measured_critical_ratio(d).is_none());
-}
-
 /// The shard split itself round-trips the paper's examples, and the
 /// composed grammar derives the identical text.
 #[test]
