@@ -19,10 +19,11 @@
 //! order — though phase 1 and the (†)-entries of phase 2 are still all
 //! visited, whatever the cap.
 //!
-//! With the `parallel` feature (default on) the phase-2 materialisation
-//! runs level-parallel over the grammar's depth strata — the same wave
-//! schedule as the Lemma 6.5 matrix pass — producing values identical to
-//! the serial bottom-up order.
+//! The phase-2 materialisation runs level by level over the grammar's depth
+//! strata — the same wave schedule as the Lemma 6.5 matrix pass.  Strata of
+//! at least `PHASE2_PAR_THRESHOLD` entries go through `rayon::par_map`
+//! (which maps serially on one CPU), producing values identical to the
+//! serial bottom-up order.
 
 use crate::error::EvalError;
 use crate::matrices::{Preprocessed, REntry};
@@ -95,10 +96,10 @@ pub fn compute_prefix_from_matrices(pre: &Preprocessed, limit: Option<usize>) ->
     // wave-scheduled over the grammar's depth strata exactly like the
     // Lemma 6.5 matrix pass: `M_A[i,j]` of a depth-d rule reads only
     // entries of strictly shallower rules, so all entries of one stratum
-    // are independent pure functions of the strata below.  With the
-    // `parallel` feature a large enough stratum is mapped across cores;
-    // every entry is still computed by [`materialise_entry`] from the same
-    // inputs, so the values are identical to the serial order.
+    // are independent pure functions of the strata below.  A stratum of at
+    // least `PHASE2_PAR_THRESHOLD` entries goes through `par_map` (serial on
+    // one CPU); every entry is still computed by [`materialise_entry`] from
+    // the same inputs, so the values are identical to the serial order.
     let max_depth = pre
         .bottom_up
         .iter()

@@ -581,15 +581,10 @@ struct Counters {
     /// Writers hold this shared; `stats()` holds it exclusively.
     gate: RwLock<()>,
     requests: AtomicU64,
-    /// One slot per task kind, indexed by [`task_kind_index`].
+    /// One slot per task kind, indexed by [`Task::kind_index`].
     by_task: [AtomicU64; 5],
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
-}
-
-/// The `Counters::by_task` slot of a task.
-fn task_kind_index(task: &Task) -> usize {
-    task.kind_index()
 }
 
 impl Counters {
@@ -599,7 +594,7 @@ impl Counters {
         let _shared = self.gate.read().expect("stats gate poisoned");
         if let Some(task) = task {
             self.requests.fetch_add(1, Ordering::Relaxed);
-            self.by_task[task_kind_index(task)].fetch_add(1, Ordering::Relaxed);
+            self.by_task[task.kind_index()].fetch_add(1, Ordering::Relaxed);
         }
         if let Some(lookup) = lookup {
             if lookup.hit {

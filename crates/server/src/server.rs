@@ -90,10 +90,12 @@
 //! With a [`Store`] attached (see [`ServerOptions::persistence`]), every
 //! successful corpus mutation — registrations with their *resolved* shard
 //! counts, removals, tenant changes — is appended to the durable log
-//! before the response is written, and a snapshot is cut every
-//! `snapshot_every` verbs.  [`Server::bind_with`] replays the store on
-//! boot, reconstructing tenants, quotas, wire ids (including burned ones)
-//! and shard layouts bit-identically — recorded shard counts are replayed
+//! before the response is written.  A snapshot is cut every
+//! `snapshot_every` verbs, or once the log reaches `snapshot_bytes`; both
+//! triggers cut it inline, under the lock that serializes corpus
+//! mutations.  [`Server::bind_with`] replays the store on boot,
+//! reconstructing tenants, quotas, wire ids (including burned ones) and
+//! shard layouts bit-identically — recorded shard counts are replayed
 //! as-is, so a warm restart runs **zero** `auto_k` probes
 //! ([`Service::auto_probe_count`] stays 0).
 
@@ -116,7 +118,7 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -232,7 +234,7 @@ pub struct PersistenceOptions {
     /// Cut a snapshot (and truncate the log) every this many appended
     /// verbs; `0` disables periodic snapshots (the log just grows).
     pub snapshot_every: u64,
-    /// Also cut a snapshot whenever the log exceeds this many bytes —
+    /// Also cut a snapshot whenever the log reaches this many bytes —
     /// compaction for remove-heavy corpora whose dead documents would
     /// otherwise ride the log between cadence cuts.  `0` disables the
     /// size trigger.
@@ -273,57 +275,28 @@ struct Metrics {
     shed_overflow: AtomicU64,
 }
 
-/// Shared state of the background compactor: the single-flight gate plus
-/// the duration counters `stats` exports.
-#[derive(Debug, Default)]
-struct CompactionStats {
-    /// One size-triggered compaction in flight at a time: set when a job
-    /// is queued, cleared by the compactor when it finishes.  Triggers
-    /// that fire while set are skipped — the next mutation re-checks.
-    busy: AtomicBool,
-    /// Completed background compactions (the `snapshots_on_size`
-    /// attribution).
-    runs: AtomicU64,
-    last_us: AtomicU64,
-    total_us: AtomicU64,
-}
-
-/// One queued background compaction: the corpus image to snapshot plus
-/// the log marks bounding exactly the verbs it covers.
-struct CompactJob {
-    image: CorpusImage,
-    mark_bytes: u64,
-    mark_records: u64,
-}
-
 /// The durable half of a server: the store, an in-memory mirror of the
 /// corpus image (so snapshots never re-read the log), and the snapshot
 /// cadence.  The mirror mutex also serializes append+apply so the mirror's
 /// `last_seq` tracks the log exactly.
 struct Persist {
-    store: Arc<Store>,
+    store: Store,
     mirror: Mutex<CorpusImage>,
     snapshot_every: u64,
     snapshot_bytes: u64,
-    /// Snapshots cut inline by the every-N-verbs cadence (a snapshot that
-    /// trips both triggers at once counts as a cadence cut, exactly as
-    /// before compaction moved off the serving thread).
+    /// Snapshots cut by the every-N-verbs cadence (a snapshot that trips
+    /// both triggers at once counts as a cadence cut).
     cadence_snapshots: AtomicU64,
-    /// Background-compaction gate and timings (size-triggered snapshots).
-    compaction: Arc<CompactionStats>,
-    /// The compactor channel + thread, dropped (and joined) with the
-    /// server so no compaction outlives the store.
-    compactor: Mutex<Option<(mpsc::Sender<CompactJob>, JoinHandle<()>)>>,
+    /// Snapshots cut because the log reached `snapshot_bytes`.
+    size_snapshots: AtomicU64,
 }
 
 impl Persist {
     /// Makes one corpus mutation durable: append to the log, fold into the
-    /// mirror, snapshot inline if the cadence says so, or hand the fold to
-    /// the background compactor if the log-size threshold says so — the
-    /// serving thread never pays for a size-triggered snapshot encode.
-    /// Durability failures are loud but non-fatal — the in-memory serving
-    /// state already mutated, and refusing to answer would not un-mutate
-    /// it.
+    /// mirror, and cut a snapshot inline if the cadence or the log-size
+    /// threshold says so.  Durability failures are loud but non-fatal —
+    /// the in-memory serving state already mutated, and refusing to answer
+    /// would not un-mutate it.
     fn record(&self, verb: &LogVerb) {
         let mut mirror = self.mirror.lock().expect("corpus mirror poisoned");
         match self.store.append(verb) {
@@ -334,67 +307,19 @@ impl Persist {
             }
         }
         let metrics = self.store.metrics();
-        if self.snapshot_every > 0 && metrics.log_records >= self.snapshot_every {
-            match self.store.snapshot(&mirror) {
-                Ok(()) => {
-                    self.cadence_snapshots.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(e) => eprintln!("spanner-server: WARNING: snapshot failed: {e}"),
-            }
+        let trigger = if self.snapshot_every > 0 && metrics.log_records >= self.snapshot_every {
+            &self.cadence_snapshots
+        } else if self.snapshot_bytes > 0 && metrics.log_bytes >= self.snapshot_bytes {
+            &self.size_snapshots
+        } else {
             return;
-        }
-        if self.snapshot_bytes > 0
-            && metrics.log_bytes >= self.snapshot_bytes
-            && !self.compaction.busy.swap(true, Ordering::AcqRel)
-        {
-            // The marks are read under the mirror lock, so they bound
-            // exactly the verbs the cloned image covers.
-            let job = CompactJob {
-                image: mirror.clone(),
-                mark_bytes: metrics.log_bytes,
-                mark_records: metrics.log_records,
-            };
-            let queued = self
-                .compactor
-                .lock()
-                .expect("compactor handle poisoned")
-                .as_ref()
-                .is_some_and(|(tx, _)| tx.send(job).is_ok());
-            if !queued {
-                self.compaction.busy.store(false, Ordering::Release);
-            }
-        }
-    }
-}
-
-impl Drop for Persist {
-    fn drop(&mut self) {
-        if let Some((tx, handle)) = self
-            .compactor
-            .lock()
-            .expect("compactor handle poisoned")
-            .take()
-        {
-            drop(tx); // closes the channel; the compactor drains and exits
-            let _ = handle.join();
-        }
-    }
-}
-
-/// The background compactor body: drain queued jobs, timing each fold.
-fn compactor_loop(store: Arc<Store>, stats: Arc<CompactionStats>, rx: mpsc::Receiver<CompactJob>) {
-    while let Ok(job) = rx.recv() {
-        let started = Instant::now();
-        match store.compact(&job.image, job.mark_bytes, job.mark_records) {
+        };
+        match self.store.snapshot(&mirror) {
             Ok(()) => {
-                let us = started.elapsed().as_micros() as u64;
-                stats.runs.fetch_add(1, Ordering::Relaxed);
-                stats.last_us.store(us, Ordering::Relaxed);
-                stats.total_us.fetch_add(us, Ordering::Relaxed);
+                trigger.fetch_add(1, Ordering::Relaxed);
             }
-            Err(e) => eprintln!("spanner-server: WARNING: background compaction failed: {e}"),
+            Err(e) => eprintln!("spanner-server: WARNING: snapshot failed: {e}"),
         }
-        stats.busy.store(false, Ordering::Release);
     }
 }
 
@@ -529,13 +454,17 @@ impl Shared {
             &[],
             s.resident_entries as u64,
         );
-        for (kind, value) in [
-            ("nonemptiness", s.by_task.non_emptiness),
-            ("model_check", s.by_task.model_check),
-            ("count", s.by_task.count),
-            ("compute", s.by_task.compute),
-            ("enumerate", s.by_task.enumerate),
-        ] {
+        // In `Task::kind_index` order, so the labels match the duration
+        // histograms'.
+        let t = &s.by_task;
+        let by_kind = [
+            t.non_emptiness,
+            t.model_check,
+            t.count,
+            t.compute,
+            t.enumerate,
+        ];
+        for (kind, value) in Task::KIND_NAMES.iter().zip(by_kind) {
             m.counter("spanner_tasks_total", &[("kind", kind)], value);
         }
 
@@ -654,7 +583,7 @@ impl Shared {
             m.counter(
                 "spanner_store_snapshot_triggers_total",
                 &[("trigger", "size")],
-                p.compaction.runs.load(Ordering::Relaxed),
+                p.size_snapshots.load(Ordering::Relaxed),
             );
             if let Some(age) = store.snapshot_age_secs {
                 m.gauge("spanner_store_snapshot_age_seconds", &[], age);
@@ -693,25 +622,6 @@ impl Shared {
             "spanner_executor_hedge_window_samples",
             &[],
             remote.map_or(0, |r| r.hedge_sample_count()),
-        );
-        let (runs, last_us, total_us) = self.persist.as_ref().map_or((0, 0, 0), |p| {
-            let c = &p.compaction;
-            (
-                c.runs.load(Ordering::Relaxed),
-                c.last_us.load(Ordering::Relaxed),
-                c.total_us.load(Ordering::Relaxed),
-            )
-        });
-        m.counter("spanner_store_compactions_total", &[], runs);
-        m.gauge(
-            "spanner_store_compaction_duration_us",
-            &[("stat", "last")],
-            last_us,
-        );
-        m.counter(
-            "spanner_store_compaction_duration_us",
-            &[("stat", "total")],
-            total_us,
         );
         m.finish()
     }
@@ -1139,25 +1049,13 @@ impl Server {
                 torn_bytes: recovered.torn_bytes,
                 ..report
             });
-            let store = Arc::new(store);
-            let compaction = Arc::new(CompactionStats::default());
-            let compactor = (opts.snapshot_bytes > 0).then(|| {
-                let (tx, rx) = mpsc::channel();
-                let store = store.clone();
-                let stats = compaction.clone();
-                (
-                    tx,
-                    std::thread::spawn(move || compactor_loop(store, stats, rx)),
-                )
-            });
             persist = Some(Persist {
                 store,
                 mirror: Mutex::new(recovered.image),
                 snapshot_every: opts.snapshot_every,
                 snapshot_bytes: opts.snapshot_bytes,
                 cadence_snapshots: AtomicU64::new(0),
-                compaction,
-                compactor: Mutex::new(compactor),
+                size_snapshots: AtomicU64::new(0),
             });
         }
 

@@ -77,7 +77,7 @@ pub struct StoreMetrics {
     /// Seconds since the current snapshot was written (`None` = never).
     pub snapshot_age_secs: Option<u64>,
     /// Snapshots written over this handle's lifetime (not persisted across
-    /// reopen — a compaction-rate signal, not durable history).
+    /// reopen — a snapshot-rate signal, not durable history).
     pub snapshots: u64,
 }
 
@@ -237,59 +237,6 @@ impl Store {
         Ok(())
     }
 
-    /// Writes `image` as the new snapshot and splices the covered
-    /// *prefix* out of the log, leaving verbs appended after the image was
-    /// captured in place.  Unlike [`Store::snapshot`], the expensive
-    /// encode + fsync of the image runs *before* the internal lock is
-    /// taken, so concurrent appends only ever wait for the prefix splice —
-    /// this is the background-compaction entry point.
-    ///
-    /// `mark_bytes` / `mark_records` are the log length at capture time
-    /// (read from [`Store::metrics`] under the same external lock that
-    /// cloned `image`, so they bound exactly the verbs the image covers).
-    ///
-    /// Crash safety: the snapshot rename is atomic, and the log tail is
-    /// rewritten via temp-file + rename too — at every crash point the
-    /// directory holds either the old state, or the new snapshot with a
-    /// log whose covered prefix replays idempotently
-    /// (`seq <= image.last_seq` verbs are skipped).
-    pub fn compact(
-        &self,
-        image: &CorpusImage,
-        mark_bytes: u64,
-        mark_records: u64,
-    ) -> io::Result<()> {
-        let tmp_snapshot = self.dir.join(format!("{SNAPSHOT_FILE}.tmp"));
-        let snapshot_path = self.dir.join(SNAPSHOT_FILE);
-        {
-            let mut tmp = File::create(&tmp_snapshot)?;
-            tmp.write_all(&image.encode())?;
-            tmp.sync_all()?;
-        }
-        let mut inner = self.inner.lock().unwrap();
-        std::fs::rename(&tmp_snapshot, &snapshot_path)?;
-        // Splice: keep only the bytes appended since the capture.
-        let mut tail = Vec::new();
-        inner.log.seek(SeekFrom::Start(mark_bytes))?;
-        inner.log.read_to_end(&mut tail)?;
-        let log_path = self.dir.join(LOG_FILE);
-        let tmp_log = self.dir.join(format!("{LOG_FILE}.tmp"));
-        {
-            let mut f = File::create(&tmp_log)?;
-            f.write_all(&tail)?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp_log, &log_path)?;
-        inner.log = OpenOptions::new().read(true).append(true).open(&log_path)?;
-        inner.log.seek(SeekFrom::End(0))?;
-        inner.log_records = inner.log_records.saturating_sub(mark_records);
-        inner.log_bytes = tail.len() as u64;
-        inner.snapshot_seq = image.last_seq;
-        inner.snapshot_time = Some(SystemTime::now());
-        inner.snapshots += 1;
-        Ok(())
-    }
-
     /// Current store health counters.
     pub fn metrics(&self) -> StoreMetrics {
         let inner = self.inner.lock().unwrap();
@@ -434,46 +381,6 @@ mod tests {
         assert_eq!(recovery.replayed_verbs, 1);
         assert_eq!(recovery.image.docs.len(), 1);
         assert_eq!(recovery.image.last_seq, 7);
-    }
-
-    #[test]
-    fn compact_drops_the_covered_prefix_and_keeps_later_appends() {
-        let tmp = TempDir::new("compact");
-        let (store, _) = Store::open(&tmp.0).unwrap();
-        let verbs = sample_verbs();
-        let mut image = CorpusImage::default();
-        // Capture the image (and the marks) after the first four verbs…
-        for verb in &verbs[..4] {
-            let seq = store.append(verb).unwrap();
-            image.apply(seq, verb);
-        }
-        let marks = store.metrics();
-        // …then keep appending before the compaction runs, as the serving
-        // threads would while the background compactor works.
-        for verb in &verbs[4..] {
-            store.append(verb).unwrap();
-        }
-        store
-            .compact(&image, marks.log_bytes, marks.log_records)
-            .unwrap();
-
-        let metrics = store.metrics();
-        assert_eq!(metrics.snapshot_seq, 4);
-        assert_eq!(metrics.log_records, 2, "the tail survives the splice");
-        assert_eq!(metrics.last_seq, 6);
-        assert_eq!(metrics.snapshots, 1);
-        drop(store);
-
-        // Recovery composes the snapshot with the spliced tail.
-        let (_store, recovery) = Store::open(&tmp.0).unwrap();
-        assert!(recovery.from_snapshot);
-        assert_eq!(recovery.replayed_verbs, 2);
-        assert_eq!(recovery.image.last_seq, 6);
-        let mut full = CorpusImage::default();
-        for (i, verb) in sample_verbs().iter().enumerate() {
-            full.apply(i as u64 + 1, verb);
-        }
-        assert_eq!(recovery.image, full);
     }
 
     #[test]

@@ -591,7 +591,6 @@ fn full_scrapes_of_a_durable_two_tenant_front_end_and_its_worker_lint() {
         "spanner_request_duration_us_count{tenant=\"5\"}",
         "spanner_shard_pass_duration_us_count",
         "spanner_executor_hedge_budget_us",
-        "spanner_store_compactions_total",
     ] {
         assert!(
             metrics::value(&scrape, family).is_some(),

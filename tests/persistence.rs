@@ -164,60 +164,56 @@ fn restart_round_trip_is_bit_identical() {
 
 #[test]
 fn snapshots_compose_with_the_log_tail() {
-    let dir = TempDir::new("snapshot");
-    {
-        let server = boot_durable(&dir, 2); // snapshot every 2 verbs
+    // Each trigger cuts on the second verb and leaves the third in the
+    // fresh log tail: every 2 verbs, or once the log reaches
+    // `TWO_VERBS_BYTES` (the two first `add_doc` lines together exceed it,
+    // the first or the third alone does not).
+    const TWO_VERBS_BYTES: u64 = 100;
+    for (snapshot_every, snapshot_bytes) in [(2, 0), (0, TWO_VERBS_BYTES)] {
+        let dir = TempDir::new(&format!("snapshot-{snapshot_every}-{snapshot_bytes}"));
+        {
+            let server = boot_durable_sized(&dir, snapshot_every, snapshot_bytes);
+            let mut client = Client::connect(server.local_addr()).unwrap();
+            client.add_doc(b"abababab").unwrap();
+            client.add_doc(b"aabb").unwrap(); // triggers a snapshot
+            client.add_doc(b"babaab").unwrap(); // lands in the fresh log tail
+            let scrape = client.stats().unwrap();
+            assert_eq!(series(&scrape, "spanner_store_snapshots_total"), 1);
+            assert_eq!(series(&scrape, "spanner_store_log_records"), 1);
+            client.shutdown().unwrap();
+            server.join();
+        }
+        let server = boot_durable_sized(&dir, snapshot_every, snapshot_bytes);
+        let report = *server.recovery().unwrap();
+        assert!(report.from_snapshot, "the cut snapshot must be used");
+        assert_eq!(report.replayed_verbs, 1, "one verb rides the log tail");
+        assert_eq!(report.documents, 3, "snapshot image + log tail compose");
+
         let mut client = Client::connect(server.local_addr()).unwrap();
-        client.add_doc(b"abababab").unwrap();
-        client.add_doc(b"aabb").unwrap(); // triggers a snapshot
-        client.add_doc(b"babaab").unwrap(); // lands in the fresh log tail
+        let q = client.add_query(".*x{ab}.*", b"ab").unwrap();
+        let (count, _) = client.count(q, 0).unwrap();
+        assert_eq!(count, 4);
+        let (count, _) = client.count(q, 2).unwrap();
+        assert_eq!(count, 2);
         client.shutdown().unwrap();
         server.join();
     }
-    let server = boot_durable(&dir, 2);
-    let report = *server.recovery().unwrap();
-    assert!(report.from_snapshot, "the cut snapshot must be used");
-    assert_eq!(report.documents, 3, "snapshot image + log tail compose");
-
-    let mut client = Client::connect(server.local_addr()).unwrap();
-    let q = client.add_query(".*x{ab}.*", b"ab").unwrap();
-    let (count, _) = client.count(q, 0).unwrap();
-    assert_eq!(count, 4);
-    let (count, _) = client.count(q, 2).unwrap();
-    assert_eq!(count, 2);
-    client.shutdown().unwrap();
-    server.join();
 }
 
 #[test]
 fn log_size_triggers_snapshots_and_attributes_them() {
     let dir = TempDir::new("sizetrigger");
     {
-        // Cadence off; any non-empty log (≥ 1 byte) trips the size trigger.
-        // Size-triggered compactions run on a background thread (single-
-        // flight), so poll until at least one lands rather than counting
-        // them exactly.
+        // Cadence off; any non-empty log (≥ 1 byte) trips the size trigger,
+        // so every verb cuts one snapshot inline before it is answered.
         let server = boot_durable_sized(&dir, 0, 1);
         let mut client = Client::connect(server.local_addr()).unwrap();
         client.add_doc(b"abababab").unwrap();
         client.add_doc(b"aabb").unwrap();
         client.add_doc(b"babaab").unwrap();
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        let scrape = loop {
-            let scrape = client.stats().unwrap();
-            if series(&scrape, SIZE_TRIGGERS) >= 1 || std::time::Instant::now() >= deadline {
-                break scrape;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        };
-        assert!(
-            series(&scrape, SIZE_TRIGGERS) >= 1,
-            "the size trigger compacts in the background:\n{scrape}"
-        );
-        assert!(
-            series(&scrape, "spanner_store_snapshots_total") >= 1,
-            "the store cut at least one snapshot"
-        );
+        let scrape = client.stats().unwrap();
+        assert_eq!(series(&scrape, SIZE_TRIGGERS), 3, "{scrape}");
+        assert_eq!(series(&scrape, "spanner_store_snapshots_total"), 3);
         assert_eq!(series(&scrape, CADENCE_TRIGGERS), 0, "cadence is off");
         client.shutdown().unwrap();
         server.join();

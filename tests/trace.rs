@@ -214,6 +214,15 @@ fn latency_histograms_observe_every_request_per_kind_and_tenant() {
         .collect();
     // KIND_NAMES order: non_emptiness, model_check, count, compute, enumerate.
     assert_eq!(kinds, [1, 0, 3, 0, 0], "{scrape}");
+    // The request counters carry the same kind labels, so the two join.
+    let tasks: Vec<u64> = Task::KIND_NAMES
+        .iter()
+        .map(|kind| {
+            let name = format!("spanner_tasks_total{{kind=\"{kind}\"}}");
+            metrics::value(&scrape, &name).unwrap_or_else(|| panic!("no {name}:\n{scrape}"))
+        })
+        .collect();
+    assert_eq!(tasks, [1, 0, 3, 0, 0], "{scrape}");
     assert_eq!(
         count("tenant=\"0\""),
         4,
