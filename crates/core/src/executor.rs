@@ -90,10 +90,11 @@ pub struct ShardOutcome {
     /// `true` if a non-local executor failed and this outcome came from
     /// the local fallback.
     pub fallback: bool,
-    /// `true` if the executor re-issued the pass to a second backend after
-    /// a latency budget expired (a *hedged* pass) — regardless of which
-    /// copy won.  Purely observational: hedged outcomes carry the same
-    /// entry-identical rows as unhedged ones.
+    /// `true` if the executor re-issued the pass to a second backend,
+    /// because the first one failed or a latency budget expired (a
+    /// *hedged* pass) — regardless of which copy won.  Purely
+    /// observational: hedged outcomes carry the same entry-identical rows
+    /// as unhedged ones.
     pub hedged: bool,
     /// Span fragment recorded by the executor when the job carried a
     /// [`ShardTrace`] — already in the request timebase (empty, and

@@ -75,9 +75,9 @@ pub struct ShardBuildStats {
     /// deduplicated outcome inherit its fallback flag, so this stays a
     /// per-shard count.
     pub fallbacks: usize,
-    /// Number of shard passes the executor re-issued to a second backend
-    /// after a latency budget expired (hedged passes; `0` for local
-    /// builds).
+    /// Number of shard passes the executor re-issued to a second backend,
+    /// after a failed first attempt or an expired latency budget (hedged
+    /// passes; `0` for local builds).
     pub hedges: usize,
     /// Number of shards whose standalone block was structurally identical
     /// to an earlier shard's block and therefore never executed — the

@@ -7,7 +7,7 @@
 //!                [--block-cache-budget BYTES]
 //!                [--data-dir DIR] [--snapshot-every N] [--snapshot-bytes B]
 //!                [--worker] [--workers ADDR,ADDR,...]
-//!                [--health-interval-ms MS] [--hedge-after-ms MS]
+//!                [--hedge-after-ms MS]
 //!                [--slow-log-ms MS] [--trace-sample-rate R]
 //!                [--pipeline-window N] [--sched-workers N]
 //!                [--class-queue-depth N] [--fifo]
@@ -21,11 +21,12 @@
 //! `--workers a,b` boots a front-end whose sharded matrix builds scatter
 //! over the listed worker processes (falling back to local execution when
 //! a worker fails).  The two are the halves of a distributed pool: boot N
-//! workers, then one front-end pointing at them.  The front-end probes
-//! worker health every `--health-interval-ms` (default 1000; 0 disables
-//! probing — dead workers are then only discovered at scatter time), and
-//! hedges straggler shards to a second worker after `--hedge-after-ms`
-//! (default 0 = adaptive, 3× the median observed pass latency).
+//! workers, then one front-end pointing at them.  The front-end re-issues
+//! a shard to its second-choice worker when the first one fails, or when
+//! it is still unanswered after `--hedge-after-ms` (default 0 = adaptive,
+//! 3× the median recent round trip).  Every build tries each shard's
+//! first-choice worker again, so a dead worker is found by its refused
+//! connect and a restarted one serves from the next build on.
 //!
 //! `--data-dir DIR` makes the server durable: corpus verbs are appended to
 //! `DIR/corpus.log`, a snapshot is cut every `--snapshot-every` verbs
@@ -72,7 +73,6 @@ fn main() {
     let mut data_dir: Option<PathBuf> = None;
     let mut snapshot_every: u64 = 256;
     let mut snapshot_bytes: u64 = 0;
-    let mut health_interval_ms: u64 = 1000;
     let mut hedge_after_ms: u64 = 0;
 
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -95,9 +95,6 @@ fn main() {
             "--data-dir" => data_dir = Some(PathBuf::from(value(i))),
             "--snapshot-every" => snapshot_every = parse(&value(i), "--snapshot-every") as u64,
             "--snapshot-bytes" => snapshot_bytes = parse(&value(i), "--snapshot-bytes") as u64,
-            "--health-interval-ms" => {
-                health_interval_ms = parse(&value(i), "--health-interval-ms") as u64
-            }
             "--hedge-after-ms" => hedge_after_ms = parse(&value(i), "--hedge-after-ms") as u64,
             "--slow-log-ms" => config.slow_log_ms = parse(&value(i), "--slow-log-ms") as u64,
             "--trace-sample-rate" => {
@@ -132,7 +129,7 @@ fn main() {
                      [--block-cache-budget BYTES] \
                      [--data-dir DIR] [--snapshot-every N] [--snapshot-bytes B] \
                      [--worker] [--workers ADDR,ADDR,...] \
-                     [--health-interval-ms MS] [--hedge-after-ms MS] [--slow-log-ms MS] \
+                     [--hedge-after-ms MS] [--slow-log-ms MS] \
                      [--trace-sample-rate R] [--pipeline-window N] [--sched-workers N] \
                      [--class-queue-depth N] [--fifo]"
                 );
@@ -162,9 +159,6 @@ fn main() {
         let mut executor = RemoteExecutor::new(workers);
         if hedge_after_ms > 0 {
             executor = executor.with_hedge_after(Duration::from_millis(hedge_after_ms));
-        }
-        if health_interval_ms > 0 {
-            executor = executor.with_health_check(Duration::from_millis(health_interval_ms));
         }
         Arc::new(executor)
     });

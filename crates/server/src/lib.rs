@@ -27,10 +27,10 @@
 //!   core's `ShardExecutor` over the wire protocol as a self-managing
 //!   worker fleet — content-hash have/need negotiation (block bytes cross
 //!   the wire once per worker, see [`blockcache`]), rendezvous-hash
-//!   shard→worker placement, optional background health probing with
-//!   join/leave, and hedged passes that re-issue stragglers to a second
-//!   worker (falling back to local execution when workers fail, so
-//!   results are never lost).
+//!   shard→worker placement, and re-issued passes that send a shard
+//!   whose primary failed or straggles to its second-choice worker
+//!   (falling back to local execution when both fail, so results are
+//!   never lost).
 //! * [`blockcache`] — the worker-resident byte-budgeted LRU of decoded
 //!   blocks behind the negotiation.
 //! * [`metrics`] — the server's one metrics path: the `stats` verb answers

@@ -20,32 +20,37 @@
 //!   connection ([`RemoteExecutor::renegotiation_count`]).
 //! * **Rendezvous placement.**  Shards map to workers by
 //!   highest-random-weight hashing of the block's content hash against
-//!   each live worker's address: deterministic, stable under join/leave
-//!   (only the departed worker's shards move), and cache-affine — the
-//!   same block keeps landing on the same warm worker.
-//! * **Health-checked membership.**  An optional background prober
-//!   ([`RemoteExecutor::with_health_check`]) pings every worker and flips
-//!   it dead/alive; dead workers are excluded from placement *before*
-//!   scatter, and a rejoining worker re-enters the rendezvous ranking
-//!   with its shipped-hash memory cleared (a restarted process holds an
-//!   empty cache).
-//! * **Hedged passes.**  After a per-shard latency budget — fixed
-//!   ([`RemoteExecutor::with_hedge_after`]) or 3× the median of recently
-//!   observed pass latencies — a straggling shard is re-issued to the
-//!   next worker in the rendezvous ranking and the first answer wins:
-//!   tail-latency insurance against one slow worker.  Both attempts
+//!   each worker's address: deterministic, stable when a worker leaves
+//!   the pool (only its shards move), and cache-affine — the same block
+//!   keeps landing on the same warm worker.
+//! * **Re-issued passes.**  A shard pass is a pure function of its block
+//!   and the automaton, so any worker can answer it.  When the primary
+//!   fails (refused connect, dead process, timeout, bad reply) or is
+//!   still unanswered after a per-shard latency budget — fixed
+//!   ([`RemoteExecutor::with_hedge_after`]) or 3× the median of recent
+//!   winning round trips — the shard is re-issued to the next worker
+//!   in its rendezvous ranking and the first answer wins.  Both attempts
 //!   compute the same deterministic summaries, so whichever copy lands
-//!   first is entry-identical to the other.
+//!   first is entry-identical to the other.  There is no membership
+//!   state: every build tries each shard's primary again.  A dead process
+//!   costs one refused connect per shard placed on it.  On an unreachable
+//!   host the attempts queued behind a timed-out connect fail with it
+//!   instead of each reconnecting, and the adaptive budget learns only
+//!   the winning attempts' round trips, so once the budget has samples
+//!   the host costs each of its shards one budget wait; until then each
+//!   of its shards may wait out a connect timeout.  A restarted worker is
+//!   back as soon as it accepts (its first `need` answer renegotiates the
+//!   forgotten blocks).
 //!
-//! **Results are never lost.**  Every failure — connection refused, a
-//! worker dying mid-build, a timeout, a malformed or short reply, busy
-//! backpressure beyond the retry budget, both copies of a hedged pass
-//! failing — falls back to the in-process [`LocalExecutor`] for that
-//! shard, marks the outcome as a fallback (surfaced through
-//! `ShardBuildStats::fallbacks` and [`RemoteExecutor::fallback_count`])
-//! and drops the broken connection so the next build reconnects cleanly.
-//! A build against a fully dead pool therefore degrades to exactly the
-//! local scatter-gather path.
+//! **Results are never lost.**  When no second worker exists or both
+//! attempts fail — connection refused, a worker dying mid-build, a
+//! timeout, a malformed or short reply, busy backpressure beyond the
+//! retry budget — the shard falls back to the in-process
+//! [`LocalExecutor`], the outcome is marked as a fallback (surfaced
+//! through `ShardBuildStats::fallbacks` and
+//! [`RemoteExecutor::fallback_count`]) and the broken connection is
+//! dropped so the next build reconnects cleanly.  A build against a fully
+//! dead pool therefore degrades to exactly the local scatter-gather path.
 
 use crate::client::ClientError;
 use crate::proto::{ErrorCode, Request, Response, WireNfa};
@@ -58,10 +63,9 @@ use std::collections::HashSet;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Key domains of the per-worker shipped-hash memory (mirrors the
@@ -69,23 +73,31 @@ use std::time::{Duration, Instant};
 const DOMAIN_NFA: u8 = 0;
 const DOMAIN_BLOCK: u8 = 1;
 
-/// One pooled worker: its address, a lazily re-established connection,
-/// its liveness flag and the set of content hashes known to be shipped.
+/// One pooled worker: its address, a lazily re-established connection and
+/// the set of content hashes known to be shipped.
 #[derive(Debug)]
 struct WorkerSlot {
     addr: String,
-    /// The live connection, if any.  The mutex also serializes the
-    /// lock-step request/response exchange per worker; shards assigned to
-    /// *different* workers proceed in parallel.
-    conn: Mutex<Option<Conn>>,
-    /// `false` while the health prober considers this worker dead; dead
-    /// workers are excluded from rendezvous placement.
-    alive: AtomicBool,
+    /// The live connection and the last failure.  The mutex also
+    /// serializes the lock-step request/response exchange per worker;
+    /// shards assigned to *different* workers proceed in parallel.
+    link: Mutex<Link>,
     /// Content hashes this worker has acknowledged receiving the bytes
     /// for — the coordinator's half of the have/need negotiation.  An
     /// entry here only ever costs one extra round-trip if it turns out
     /// stale (the worker answers `need`).
     shipped: Mutex<HashSet<(u8, u64)>>,
+}
+
+/// A worker slot's connection state, behind the slot's one mutex.
+#[derive(Debug, Default)]
+struct Link {
+    /// The live connection, if any.
+    conn: Option<Conn>,
+    /// When the last exchange failed.  Attempts issued before then fail
+    /// at once instead of reconnecting, so those queued behind a timed-out
+    /// connect do not each pay the connect timeout again.
+    failed_at: Option<Instant>,
 }
 
 #[derive(Debug)]
@@ -95,16 +107,10 @@ struct Conn {
 }
 
 /// The shared half of the executor: worker slots plus every counter, held
-/// in an `Arc` so hedge attempts and the health prober outlive no one.
+/// in an `Arc` so attempt threads outlive no one.
 #[derive(Debug)]
 struct Pool {
     workers: Vec<WorkerSlot>,
-    /// Set on drop; stops the health prober.
-    stop: AtomicBool,
-    /// When set, exchange failures also mark the worker dead (the prober
-    /// will resurrect it); when unset, liveness never changes, preserving
-    /// the try-every-build semantics of prober-less pools.
-    health_enabled: AtomicBool,
     fallbacks: AtomicU64,
     remote_passes: AtomicU64,
     scatter_bytes: AtomicU64,
@@ -113,23 +119,9 @@ struct Pool {
     hedge_wins: AtomicU64,
     hash_only_passes: AtomicU64,
     renegotiations: AtomicU64,
-    evictions: AtomicU64,
-    rejoins: AtomicU64,
     /// Every shard pass's total wall-clock (remote wins and local
     /// fallbacks alike) — the histogram behind the adaptive-hedge window.
     pass_hist: Hist,
-}
-
-impl Pool {
-    /// Marks `idx` dead (if health management is on) and counts the
-    /// transition.
-    fn mark_dead(&self, idx: usize) {
-        if self.health_enabled.load(Ordering::Relaxed)
-            && self.workers[idx].alive.swap(false, Ordering::Relaxed)
-        {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
 }
 
 /// The copyable exchange knobs handed to attempt threads.
@@ -200,8 +192,9 @@ impl Payload {
 #[derive(Debug)]
 pub struct RemoteExecutor {
     pool: Arc<Pool>,
-    /// Per-exchange read/write timeout: a worker that stalls longer than
-    /// this has its shard re-run locally.
+    /// Per-exchange connect, read and write timeout: a worker that stalls
+    /// longer than this has its shard re-issued (or, failing that, re-run
+    /// locally).
     timeout: Duration,
     /// Frame cap, both ways: scatter frames larger than this are not
     /// shipped at all (the workers' `ServerConfig::max_frame_len` would
@@ -213,11 +206,11 @@ pub struct RemoteExecutor {
     /// How many times a `busy` answer is retried before falling back.
     busy_retries: usize,
     /// Fixed hedge budget; `None` = adaptive (3× the median of recent
-    /// pass latencies, once enough samples exist).
+    /// winning round trips, once enough samples exist).
     hedge_after: Option<Duration>,
-    /// Recent successful pass latencies feeding the adaptive budget.
+    /// Round-trip times of recent winning attempts, feeding the adaptive
+    /// budget.
     latencies: Mutex<VecDeque<Duration>>,
-    prober: Mutex<Option<JoinHandle<()>>>,
 }
 
 /// Latency samples required before the adaptive hedge budget activates.
@@ -228,7 +221,7 @@ const HEDGE_WINDOW: usize = 64;
 impl RemoteExecutor {
     /// Creates a pool client over worker addresses (e.g.
     /// `["127.0.0.1:7001", "127.0.0.1:7002"]`) with a 10-second exchange
-    /// timeout, no health prober and adaptive hedging.
+    /// timeout and adaptive hedging.
     ///
     /// # Panics
     /// If `addrs` is empty — an empty pool is a configuration error, not a
@@ -238,8 +231,7 @@ impl RemoteExecutor {
             .into_iter()
             .map(|addr| WorkerSlot {
                 addr: addr.into(),
-                conn: Mutex::new(None),
-                alive: AtomicBool::new(true),
+                link: Mutex::new(Link::default()),
                 shipped: Mutex::new(HashSet::new()),
             })
             .collect();
@@ -250,8 +242,6 @@ impl RemoteExecutor {
         RemoteExecutor {
             pool: Arc::new(Pool {
                 workers,
-                stop: AtomicBool::new(false),
-                health_enabled: AtomicBool::new(false),
                 fallbacks: AtomicU64::new(0),
                 remote_passes: AtomicU64::new(0),
                 scatter_bytes: AtomicU64::new(0),
@@ -260,8 +250,6 @@ impl RemoteExecutor {
                 hedge_wins: AtomicU64::new(0),
                 hash_only_passes: AtomicU64::new(0),
                 renegotiations: AtomicU64::new(0),
-                evictions: AtomicU64::new(0),
-                rejoins: AtomicU64::new(0),
                 pass_hist: Hist::new(),
             }),
             timeout: Duration::from_secs(10),
@@ -269,7 +257,6 @@ impl RemoteExecutor {
             max_frame: crate::server::ServerConfig::default().max_frame_len,
             hedge_after: None,
             latencies: Mutex::new(VecDeque::new()),
-            prober: Mutex::new(None),
         }
     }
 
@@ -290,43 +277,16 @@ impl RemoteExecutor {
 
     /// Fixes the hedge budget: a shard unanswered after `budget` is
     /// re-issued to the next worker in its rendezvous ranking.  Without
-    /// this the budget adapts to 3× the median of recent pass latencies
+    /// this the budget adapts to 3× the median of recent winning round trips
     /// (no hedging until enough samples exist).
     pub fn with_hedge_after(mut self, budget: Duration) -> RemoteExecutor {
         self.hedge_after = Some(budget);
         self
     }
 
-    /// Starts the background health prober: every `interval` each worker
-    /// is pinged on a fresh connection and flipped dead/alive.  Dead
-    /// workers are evicted from placement before scatter; a worker that
-    /// answers again rejoins the ranking with its shipped-hash memory
-    /// cleared (a restarted process holds an empty block cache).  With
-    /// health management on, exchange failures also mark the worker dead
-    /// immediately instead of waiting for the next probe.
-    pub fn with_health_check(self, interval: Duration) -> RemoteExecutor {
-        let interval = interval.max(Duration::from_millis(10));
-        self.pool.health_enabled.store(true, Ordering::Relaxed);
-        let pool = self.pool.clone();
-        let handle = std::thread::spawn(move || health_loop(&pool, interval));
-        *self.prober.lock().expect("prober handle poisoned") = Some(handle);
-        self
-    }
-
-    /// Number of workers in the pool (alive or not).
+    /// Number of workers in the pool.
     pub fn worker_count(&self) -> usize {
         self.pool.workers.len()
-    }
-
-    /// Number of workers currently considered alive (equals
-    /// [`RemoteExecutor::worker_count`] unless a health prober demoted
-    /// some).
-    pub fn alive_worker_count(&self) -> usize {
-        self.pool
-            .workers
-            .iter()
-            .filter(|w| w.alive.load(Ordering::Relaxed))
-            .count()
     }
 
     /// Shard passes completed remotely over this executor's lifetime.
@@ -350,12 +310,14 @@ impl RemoteExecutor {
         self.pool.gather_bytes.load(Ordering::Relaxed)
     }
 
-    /// Shard passes re-issued to a second worker after the hedge budget.
+    /// Shard passes re-issued to a second worker, after a failed primary
+    /// or after the hedge budget.
     pub fn hedge_count(&self) -> u64 {
         self.pool.hedges.load(Ordering::Relaxed)
     }
 
-    /// Hedged passes whose *second* copy answered first.
+    /// Re-issued passes whose *second* copy answered first (after a
+    /// failed primary, the only copy that answered).
     pub fn hedge_win_count(&self) -> u64 {
         self.pool.hedge_wins.load(Ordering::Relaxed)
     }
@@ -370,17 +332,6 @@ impl RemoteExecutor {
     /// satisfy, each followed by an inline re-send on the same connection.
     pub fn renegotiation_count(&self) -> u64 {
         self.pool.renegotiations.load(Ordering::Relaxed)
-    }
-
-    /// Workers demoted alive→dead (by the prober or an exchange failure
-    /// under health management).
-    pub fn eviction_count(&self) -> u64 {
-        self.pool.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Workers promoted dead→alive by the prober.
-    pub fn rejoin_count(&self) -> u64 {
-        self.pool.rejoins.load(Ordering::Relaxed)
     }
 
     /// The hedge budget currently in force, in microseconds — the fixed
@@ -439,26 +390,16 @@ impl RemoteExecutor {
     }
 }
 
-impl Drop for RemoteExecutor {
-    fn drop(&mut self) {
-        self.pool.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.prober.lock().expect("prober handle poisoned").take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Ranks the *alive* workers for `key` by rendezvous (highest-random-
-/// weight) hashing: score every worker by `fnv(addr ++ key)` and sort
-/// descending.  Deterministic for a given membership; removing a worker
-/// only moves the shards it owned.
+/// Ranks the workers for `key` by rendezvous (highest-random-weight)
+/// hashing: score every worker by `fnv(addr ++ key)` and sort descending.
+/// Deterministic for a given pool; removing a worker only moves the
+/// shards it owned.
 fn rendezvous_ranking(pool: &Pool, key: u64) -> Vec<usize> {
     use std::hash::Hasher;
     let mut scored: Vec<(u64, usize)> = pool
         .workers
         .iter()
         .enumerate()
-        .filter(|(_, w)| w.alive.load(Ordering::Relaxed))
         .map(|(i, w)| {
             let mut h = slp::Fnv64::new();
             h.write(w.addr.as_bytes());
@@ -470,93 +411,40 @@ fn rendezvous_ranking(pool: &Pool, key: u64) -> Vec<usize> {
     scored.into_iter().map(|(_, i)| i).collect()
 }
 
-/// The health prober body: ping every worker each `interval`, flipping
-/// liveness and counting the transitions.
-fn health_loop(pool: &Pool, interval: Duration) {
-    let probe_timeout = interval.min(Duration::from_secs(1));
-    while !pool.stop.load(Ordering::Relaxed) {
-        for (idx, slot) in pool.workers.iter().enumerate() {
-            let ok = probe(&slot.addr, probe_timeout);
-            let was = slot.alive.swap(ok, Ordering::Relaxed);
-            if was && !ok {
-                pool.evictions.fetch_add(1, Ordering::Relaxed);
-                // The lock-step state of any cached connection is unknown
-                // (and probably broken); reconnect next build.
-                *slot.conn.lock().expect("worker slot poisoned") = None;
-                let _ = idx;
-            } else if !was && ok {
-                pool.rejoins.fetch_add(1, Ordering::Relaxed);
-                // A rejoining process may be a fresh restart with an empty
-                // block cache: forget what was shipped so the next build
-                // re-negotiates instead of betting on a stale `have`.
-                slot.shipped.lock().expect("shipped set poisoned").clear();
-            }
-        }
-        // Shutdown-aware sleep: check the stop flag every few ms so drop
-        // never waits a full interval.
-        let mut remaining = interval;
-        while remaining > Duration::ZERO && !pool.stop.load(Ordering::Relaxed) {
-            let step = remaining.min(Duration::from_millis(5));
-            std::thread::sleep(step);
-            remaining = remaining.saturating_sub(step);
-        }
-    }
-}
-
-/// One liveness probe: fresh connect, `ping`, expect `pong`.  Any error
-/// or timeout is "dead" — the prober retries next interval.
-fn probe(addr: &str, timeout: Duration) -> bool {
-    let Ok(mut addrs) = addr.to_socket_addrs() else {
-        return false;
-    };
-    let Some(sock_addr) = addrs.next() else {
-        return false;
-    };
-    let Ok(stream) = TcpStream::connect_timeout(&sock_addr, timeout) else {
-        return false;
-    };
-    if stream.set_read_timeout(Some(timeout)).is_err()
-        || stream.set_write_timeout(Some(timeout)).is_err()
-    {
-        return false;
-    }
-    let mut frame = Request::Ping.encode();
-    frame.push(b'\n');
-    let mut stream = stream;
-    if stream.write_all(&frame).is_err() || stream.flush().is_err() {
-        return false;
-    }
-    let mut reader = BufReader::new(stream);
-    let mut line = Vec::new();
-    match (&mut reader).take(4096).read_until(b'\n', &mut line) {
-        Ok(n) if n > 0 && line.last() == Some(&b'\n') => {
-            line.pop();
-            matches!(Response::decode(&line), Ok(Response::Pong { .. }))
-        }
-        _ => false,
-    }
-}
-
 /// One lock-step negotiated `shard_build` exchange with worker `idx`:
 /// optimistic frame under the shipped-hash memory, at most one `need`
-/// re-send, busy retries.  Any error leaves the slot disconnected (and,
-/// under health management, the worker marked dead) so the next call
-/// starts from a fresh connection.
+/// re-send, busy retries.  Any error leaves the slot disconnected so the
+/// next call starts from a fresh connection, and stamps the failure so
+/// that attempts issued before it fail at once instead of reconnecting.
 fn exchange(
     pool: &Pool,
     idx: usize,
     cfg: ExchangeCfg,
     payload: &Payload,
+    issued: Instant,
 ) -> Result<(Vec<RMatrix>, Vec<SpanRec>), ClientError> {
     let slot = &pool.workers[idx];
-    let mut guard = slot.conn.lock().expect("worker slot poisoned");
+    let mut link = slot.link.lock().expect("worker slot poisoned");
+    if link.conn.is_none() && link.failed_at.is_some_and(|failed| failed >= issued) {
+        return Err(ClientError::Protocol(format!(
+            "an exchange with {} failed while this attempt waited",
+            slot.addr
+        )));
+    }
+    let guard = &mut link.conn;
 
     let result = (|| -> Result<(Vec<RMatrix>, Vec<SpanRec>), ClientError> {
         for attempt in 0.. {
             let conn = match guard.as_mut() {
                 Some(conn) => conn,
                 None => {
-                    let stream = TcpStream::connect(slot.addr.as_str())?;
+                    let addr = slot.addr.to_socket_addrs()?.next().ok_or_else(|| {
+                        std::io::Error::new(
+                            std::io::ErrorKind::InvalidInput,
+                            format!("{} resolves to no address", slot.addr),
+                        )
+                    })?;
+                    let stream = TcpStream::connect_timeout(&addr, cfg.timeout)?;
                     stream.set_nodelay(true)?;
                     stream.set_read_timeout(Some(cfg.timeout))?;
                     stream.set_write_timeout(Some(cfg.timeout))?;
@@ -646,9 +534,8 @@ fn exchange(
     if result.is_err() {
         // Whatever broke, do not reuse the stream: the lock-step protocol
         // state is unknown.  The next build reconnects.
-        *guard = None;
-        drop(guard);
-        pool.mark_dead(idx);
+        link.conn = None;
+        link.failed_at = Some(Instant::now());
     }
     result
 }
@@ -737,10 +624,11 @@ impl ShardExecutor for RemoteExecutor {
         let ranking = rendezvous_ranking(&self.pool, payload.block_hash);
         let sampled = job.trace.filter(|t| t.ctx.sampled);
 
-        let mut rows: Option<Vec<RMatrix>> = None;
+        // The winning attempt's rows and round-trip time.
+        let mut rows: Option<(Vec<RMatrix>, Duration)> = None;
         let mut spans: Vec<SpanRec> = Vec::new();
         let mut hedged = false;
-        if !oversized && !ranking.is_empty() {
+        if !oversized {
             let (tx, rx) = mpsc::channel::<AttemptReply>();
             let cfg = self.cfg();
             let spawn_attempt = |attempt: usize, worker: usize| {
@@ -749,7 +637,7 @@ impl ShardExecutor for RemoteExecutor {
                 let tx = tx.clone();
                 std::thread::spawn(move || {
                     let issued = Instant::now();
-                    let result = exchange(&pool, worker, cfg, &payload);
+                    let result = exchange(&pool, worker, cfg, &payload, issued);
                     let _ = tx.send((attempt, worker, issued.elapsed(), result));
                 });
             };
@@ -763,7 +651,8 @@ impl ShardExecutor for RemoteExecutor {
             // timeouts.
             let hard_wait = cfg.timeout.saturating_mul(2) + Duration::from_secs(1);
             let first_wait = self.hedge_budget().unwrap_or(hard_wait).min(hard_wait);
-            match rx.recv_timeout(first_wait) {
+            let first = rx.recv_timeout(first_wait);
+            match first {
                 Ok((attempt, worker, rtt, Ok((answer, fragment)))) => {
                     spans = rpc_spans(
                         sampled,
@@ -774,15 +663,16 @@ impl ShardExecutor for RemoteExecutor {
                         rtt,
                         &fragment,
                     );
-                    rows = Some(answer);
+                    rows = Some((answer, rtt));
                 }
-                Ok((_, _, _, Err(_))) => {}
-                Err(_) => {
-                    // The primary is a straggler.  Re-issue to the next
-                    // worker in the ranking and take whichever answers
-                    // first; the loser's result is discarded when it
-                    // lands (both are entry-identical by contract).
-                    let mut outstanding = 1usize;
+                first => {
+                    // The primary failed or is a straggler.  Re-issue to
+                    // the next worker in the ranking and take whichever
+                    // answers first; the loser's result is discarded when
+                    // it lands (both are entry-identical by contract).  A
+                    // straggler is still outstanding; a failed primary is
+                    // not.
+                    let mut outstanding = usize::from(first.is_err());
                     if let Some(&second) = ranking.get(1) {
                         hedged = true;
                         self.pool.hedges.fetch_add(1, Ordering::Relaxed);
@@ -825,7 +715,7 @@ impl ShardExecutor for RemoteExecutor {
                                     }
                                 }
                                 spans.append(&mut won);
-                                rows = Some(answer);
+                                rows = Some((answer, rtt));
                             }
                             Ok((_, _, _, Err(_))) => outstanding -= 1,
                             Err(_) => break,
@@ -836,10 +726,12 @@ impl ShardExecutor for RemoteExecutor {
         }
 
         match rows {
-            Some(rows) => {
+            Some((rows, rtt)) => {
                 self.pool.remote_passes.fetch_add(1, Ordering::Relaxed);
                 let elapsed = start.elapsed();
-                self.record_latency(elapsed);
+                // The budget bounds one attempt's wait: learn from the
+                // winner alone, never from a failed primary's wait.
+                self.record_latency(rtt);
                 self.pool.pass_hist.observe(elapsed.as_micros() as u64);
                 ShardOutcome {
                     rows,
@@ -901,7 +793,6 @@ mod tests {
     fn counters_start_at_zero() {
         let executor = RemoteExecutor::new(["127.0.0.1:1"]);
         assert_eq!(executor.worker_count(), 1);
-        assert_eq!(executor.alive_worker_count(), 1);
         assert_eq!(executor.remote_pass_count(), 0);
         assert_eq!(executor.fallback_count(), 0);
         assert_eq!(executor.scatter_bytes() + executor.gather_bytes(), 0);
@@ -910,34 +801,40 @@ mod tests {
             executor.hash_only_pass_count() + executor.renegotiation_count(),
             0
         );
-        assert_eq!(executor.eviction_count() + executor.rejoin_count(), 0);
         assert_eq!(executor.name(), "remote");
     }
 
     #[test]
     fn rendezvous_ranking_is_deterministic_and_stable_under_leave() {
-        let executor = RemoteExecutor::new(["127.0.0.1:7001", "127.0.0.1:7002", "127.0.0.1:7003"]);
-        let pool = &executor.pool;
+        let addrs = ["127.0.0.1:7001", "127.0.0.1:7002", "127.0.0.1:7003"];
+        let full = RemoteExecutor::new(addrs);
         for key in [1u64, 42, 0xdead_beef, u64::MAX] {
-            let a = rendezvous_ranking(pool, key);
-            let b = rendezvous_ranking(pool, key);
-            assert_eq!(a, b, "same membership, same key, same ranking");
+            let a = rendezvous_ranking(&full.pool, key);
+            let b = rendezvous_ranking(&full.pool, key);
+            assert_eq!(a, b, "same pool, same key, same ranking");
             assert_eq!(a.len(), 3);
         }
-        // Killing one worker must not move keys between the survivors:
-        // every key either keeps its primary or (if it owned the dead
-        // worker) falls to its old second choice.
-        let before: Vec<Vec<usize>> = (0..200).map(|k| rendezvous_ranking(pool, k)).collect();
-        pool.workers[1].alive.store(false, Ordering::Relaxed);
-        for (k, old) in before.iter().enumerate() {
-            let new = rendezvous_ranking(pool, k as u64);
-            let expected: Vec<usize> = old.iter().copied().filter(|&w| w != 1).collect();
+        // A pool without the second address must not move keys between
+        // the others: every key either keeps its primary or (if the
+        // missing worker owned it) falls to its old second choice.
+        let without = RemoteExecutor::new([addrs[0], addrs[2]]);
+        let by_addr = |executor: &RemoteExecutor, key: u64| -> Vec<String> {
+            rendezvous_ranking(&executor.pool, key)
+                .into_iter()
+                .map(|i| executor.pool.workers[i].addr.clone())
+                .collect()
+        };
+        for key in 0..200u64 {
+            let expected: Vec<String> = by_addr(&full, key)
+                .into_iter()
+                .filter(|a| a != addrs[1])
+                .collect();
             assert_eq!(
-                new, expected,
-                "key {k}: survivors keep their relative order"
+                by_addr(&without, key),
+                expected,
+                "key {key}: the others keep their relative order"
             );
         }
-        pool.workers[1].alive.store(true, Ordering::Relaxed);
     }
 
     #[test]
@@ -953,19 +850,6 @@ mod tests {
                 "worker {i} owns {count}/300 keys — placement is pathologically skewed"
             );
         }
-    }
-
-    #[test]
-    fn dead_workers_leave_the_ranking() {
-        let executor = RemoteExecutor::new(["127.0.0.1:7001", "127.0.0.1:7002"]);
-        executor.pool.workers[0]
-            .alive
-            .store(false, Ordering::Relaxed);
-        executor.pool.workers[1]
-            .alive
-            .store(false, Ordering::Relaxed);
-        assert_eq!(executor.alive_worker_count(), 0);
-        assert!(rendezvous_ranking(&executor.pool, 7).is_empty());
     }
 
     #[test]

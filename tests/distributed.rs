@@ -10,9 +10,9 @@ use slp_spanner::prelude::*;
 use slp_spanner::slp::families;
 use spanner_server::{RemoteExecutor, Server, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn boot_worker() -> Server {
     Server::bind(
@@ -319,4 +319,124 @@ fn a_dead_pool_degrades_to_local_execution() {
         "cold build fell back per executed shard"
     );
     assert_eq!(executor.remote_pass_count(), 0);
+}
+
+/// A listener that never accepts, with its accept queue filled until a
+/// connect can no longer complete — an unreachable host, as far as a
+/// connecting client can tell.  Keep both halves alive for the test.
+fn unanswered_listener() -> (TcpListener, Vec<TcpStream>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let mut held = Vec::new();
+    while TcpStream::connect_timeout(&addr, Duration::from_millis(100))
+        .map(|stream| held.push(stream))
+        .is_ok()
+    {
+        assert!(held.len() < 1024, "the accept queue never filled");
+    }
+    (listener, held)
+}
+
+/// The exchange's connect honours the exchange timeout: a worker whose
+/// listen queue is full never completes the handshake, and the build
+/// must give up on it after the timeout rather than after the kernel's
+/// SYN retries.
+#[test]
+fn an_unanswered_connect_times_out_at_the_exchange_timeout() {
+    let (listener, held) = unanswered_listener();
+    let addr = listener.local_addr().unwrap();
+    let executor =
+        Arc::new(RemoteExecutor::new([addr.to_string()]).with_timeout(Duration::from_millis(300)));
+    let service = Service::builder().shard_executor(executor.clone()).build();
+    let query = compile_query(".*x{a+}y{b+}.*", b"ab").unwrap();
+    let doc = block_document(2048);
+    let q = service.add_query(&query);
+    let d = service.add_document_sharded(&doc, 2);
+    let started = Instant::now();
+    let response = service
+        .run(&TaskRequest {
+            query: q,
+            doc: d,
+            task: Task::Count,
+        })
+        .unwrap();
+    let elapsed = started.elapsed();
+    assert_eq!(
+        response.outcome.as_count(),
+        Some(SlpSpanner::new(&query, &doc).unwrap().count())
+    );
+    assert_eq!(executor.remote_pass_count(), 0);
+    assert!(
+        elapsed < Duration::from_millis(1500),
+        "a 2-shard build against an unanswered connect took {elapsed:?}"
+    );
+    drop(held);
+    drop(listener);
+}
+
+/// An unreachable primary does not queue builds behind its connects:
+/// attempts waiting on the host's slot fail at once when the connect
+/// ahead of them times out, each of its shards fails over to the live
+/// worker, and the adaptive budget learns only the winning attempts'
+/// round trips.  With one live worker and one unreachable host, only the
+/// first `k = 16` build — run while the budget has no samples — waits
+/// out connect timeouts; every later build finishes well inside one
+/// exchange timeout, and no shard falls back.
+#[test]
+fn an_unreachable_worker_does_not_queue_builds_behind_its_connects() {
+    let timeout = Duration::from_secs(1);
+    let live = boot_worker();
+    let (listener, held) = unanswered_listener();
+    let executor = Arc::new(
+        RemoteExecutor::new([
+            live.local_addr().to_string(),
+            listener.local_addr().unwrap().to_string(),
+        ])
+        .with_timeout(timeout),
+    );
+    let query = compile_query(".*x{a+}y{b+}.*", b"ab").unwrap();
+    let doc = block_document(8192);
+    let expected = SlpSpanner::new(&query, &doc).unwrap().count();
+    let mut times = Vec::new();
+    for _ in 0..6 {
+        // A fresh service per build: its matrix cache is cold.
+        let service = Service::builder().shard_executor(executor.clone()).build();
+        let q = service.add_query(&query);
+        let d = service.add_document_sharded(&doc, 16);
+        let started = Instant::now();
+        let response = service
+            .run(&TaskRequest {
+                query: q,
+                doc: d,
+                task: Task::Count,
+            })
+            .unwrap();
+        times.push(started.elapsed());
+        assert_eq!(response.outcome.as_count(), Some(expected));
+    }
+    assert_eq!(
+        executor.fallback_count(),
+        0,
+        "the live worker answers every shard"
+    );
+    assert!(
+        executor.hedge_count() >= 1,
+        "the unreachable host's shards fail over"
+    );
+    assert!(
+        times[0] < timeout * 10,
+        "the first build took {:?}",
+        times[0]
+    );
+    assert!(
+        times[1..].iter().all(|&t| t < timeout),
+        "builds after the first must not wait out connect timeouts: {times:?}"
+    );
+    assert!(
+        Duration::from_micros(executor.hedge_budget_us()) < timeout / 4,
+        "failover waits leaked into the adaptive budget: {} µs",
+        executor.hedge_budget_us()
+    );
+    drop(held);
+    drop(listener);
 }

@@ -3,8 +3,9 @@
 //! worker restarts and cache pressure forcing re-negotiation instead of
 //! wrong answers, adversarial hash-mismatch frames rejected at the
 //! protocol layer, hedged shard passes completing under stragglers and
-//! mid-hedge kills, and health-probed membership evicting and rejoining
-//! workers — always with results entry-identical to the serial build.
+//! mid-hedge kills, and shards whose primary worker is dead re-issued to
+//! their second choice — always with results entry-identical to the
+//! serial build.
 
 use slp_spanner::eval::matrices::Preprocessed;
 use slp_spanner::prelude::*;
@@ -482,44 +483,48 @@ fn workers_killed_mid_hedge_fall_back_entry_identical() {
     assert_eq!(via_fallback.leaf_tables, serial.leaf_tables);
 }
 
-/// Membership: the prober evicts a dead address before scatter (no
-/// fallbacks spent discovering it at build time) and re-admits it when it
-/// answers pings again — including mid-sequence of builds.
+/// A failed primary is re-issued to its second-choice worker, like a
+/// straggler: with one live worker and one address that drops every
+/// connection, builds complete remotely without a single fallback, and
+/// once the address answers again it serves its own shards with no
+/// re-issue.
 #[test]
-fn health_prober_evicts_dead_workers_and_readmits_rejoiners() {
+fn failed_primaries_are_reissued_to_their_second_choice() {
     let live = boot_worker();
     let (flaky_addr, flaky_backend) = proxy(Duration::ZERO); // no backend: dead
     let executor = Arc::new(
         RemoteExecutor::new([live.local_addr().to_string(), flaky_addr.to_string()])
             .with_timeout(Duration::from_secs(2))
-            .with_health_check(Duration::from_millis(25)),
+            // No healthy pass takes this long, so every re-issue below
+            // follows a failed primary.
+            .with_hedge_after(Duration::from_secs(5)),
     );
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while executor.alive_worker_count() != 1 && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert_eq!(executor.alive_worker_count(), 1, "the dead address is out");
-    assert!(executor.eviction_count() >= 1);
-
-    // Builds run entirely on the survivor: no fallbacks burned on the
-    // dead address.
     let query = compile_query(".*x{a+}y{b+}.*", b"ab").unwrap();
-    let doc = block_document(2048);
-    build_and_check(&executor, &query, &doc, 4);
-    assert_eq!(executor.fallback_count(), 0);
+    let doc = block_document(8192);
+    build_and_check(&executor, &query, &doc, 16);
+    build_and_check(&executor, &query, &doc, 16);
+    assert_eq!(
+        executor.fallback_count(),
+        0,
+        "the live worker answered every shard the dead address owned"
+    );
+    assert!(
+        executor.hedge_count() >= 2,
+        "each build re-issues the dead address's shards ({} re-issues)",
+        executor.hedge_count()
+    );
 
-    // The worker comes back (a live backend behind the same address) and
-    // rejoins the rendezvous ranking.
+    // The address comes back (a live backend behind it) and serves again.
     let second = boot_worker();
     *flaky_backend.lock().unwrap() = Some(second.local_addr());
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while executor.alive_worker_count() != 2 && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert_eq!(executor.alive_worker_count(), 2, "the worker rejoined");
-    assert!(executor.rejoin_count() >= 1);
-    build_and_check(&executor, &query, &doc, 4);
+    let reissued = executor.hedge_count();
+    build_and_check(&executor, &query, &doc, 16);
     assert_eq!(executor.fallback_count(), 0);
+    assert_eq!(
+        executor.hedge_count(),
+        reissued,
+        "a healthy pool re-issues nothing"
+    );
 
     live.shutdown_and_join();
     second.shutdown_and_join();
