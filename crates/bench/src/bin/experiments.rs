@@ -11,17 +11,22 @@
 //! cargo run --release -p spanner-bench --bin experiments -- e5 e6  # subset
 //! ```
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use slp::balance::rebalance;
 use slp::compress::{Chain, Compressor};
-use slp::{families, SlpStats};
+use slp::{families, NormalFormSlp, SlpStats};
 use spanner_automata::membership::compressed_membership;
 use spanner_bench::{
     ab_family, log_family, measure_delays, random_byte_nfa, repetitiveness_family, row, time,
     unary_family, us, DocCase,
 };
 use spanner_slp_core::{
-    compute::compute_all, enumerate::Enumerator, model_check, nonemptiness, PreparedDocument,
-    Service, Task, TaskRequest,
+    compute::{compute_all, compute_prefix_counted},
+    enumerate::Enumerator,
+    model_check, nonemptiness,
+    prepared::PreparedEvaluation,
+    PreparedDocument, Service, Task, TaskRequest,
 };
 use spanner_workloads::{corpus, queries};
 
@@ -797,7 +802,7 @@ fn e15() {
     }
 }
 
-/// E9 — direct computation vs enumerate-and-collect.
+/// E9 — direct computation vs enumerate-and-collect, uncapped and capped.
 fn e9() {
     println!("## E9 — compute (Thm 7.1) vs enumerate-and-collect (Thm 8.10)\n");
     header(&[
@@ -821,6 +826,52 @@ fn e9() {
         });
         assert_eq!(r, r2);
         row(&[case.name.clone(), r.to_string(), us(t_compute), us(t_enum)]);
+    }
+    println!();
+
+    // Capped: the first 64 tuples from resident matrices.  The pull count
+    // is the number of entries `M_A[i,j]` the pass computes; it must track
+    // the 64 tuples returned, not the whole relation.
+    const LIMIT: usize = 64;
+    const MAX_PULLS: u64 = 1_000;
+    header(&[
+        "document",
+        "query",
+        "r",
+        "compute{64} (µs)",
+        "enumerate-take-64 (µs)",
+        "entries pulled (capped)",
+        "entries pulled (uncapped)",
+    ]);
+    for seed in 1..=3u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let text: Vec<u8> = (0..20_000)
+            .map(|_| if rng.gen_bool(0.5) { b'a' } else { b'b' })
+            .collect();
+        let slp = NormalFormSlp::from_document(&text).expect("non-empty");
+        for query in [queries::ab_blocks(), queries::adjacent_blocks()] {
+            let prepared = PreparedEvaluation::new(&query.automaton, &slp).expect("prepares");
+            let (all, all_pulls) = compute_prefix_counted(&prepared.pre, None);
+            let (t_compute, (first, pulls)) =
+                time(|| compute_prefix_counted(&prepared.pre, Some(LIMIT)));
+            let enumerator = Enumerator::from_prepared(prepared);
+            let (t_enum, taken) = time(|| enumerator.iter().take(LIMIT).collect::<Vec<_>>());
+            assert_eq!(first, all[..LIMIT.min(all.len())]);
+            assert_eq!(first.len(), taken.len());
+            assert!(
+                pulls <= MAX_PULLS,
+                "compute{{64}} pulled {pulls} entries (bound {MAX_PULLS})"
+            );
+            row(&[
+                format!("random-ab-20000 (seed {seed})"),
+                query.pattern.to_string(),
+                all.len().to_string(),
+                us(t_compute),
+                us(t_enum),
+                pulls.to_string(),
+                all_pulls.to_string(),
+            ]);
+        }
     }
     println!();
 }

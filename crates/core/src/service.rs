@@ -85,17 +85,16 @@ pub enum Task {
     /// `|⟦M⟧(D)|` without materialising any tuple (counting extension).
     Count,
     /// Materialise `⟦M⟧(D)` (Theorem 7.1), keeping the first `limit` tuples
-    /// in `⪯` order (`None` = all).  The bound caps every list the pass
-    /// materialises, so a small limit never builds the whole relation;
-    /// the pass still visits every entry it needs.
+    /// in `⪯` order (`None` = all).  The pass pulls only the list prefixes
+    /// those tuples need, so a small limit never builds the whole relation.
     Compute {
         /// Maximum number of tuples to return (`None` = no bound).
         limit: Option<usize>,
     },
     /// Stream a window of `⟦M⟧(D)` with the paper's `O(depth(S)·|X|)`
     /// delay (Theorem 8.10): skip the first `skip` results, then return up
-    /// to `limit` (`None` = all remaining).  Unlike [`Task::Compute`], cost
-    /// is proportional to `skip + limit`, not to `|⟦M⟧(D)|`.
+    /// to `limit` (`None` = all remaining).  Cost is proportional to
+    /// `skip + limit`, not to `|⟦M⟧(D)|`.
     Enumerate {
         /// Number of leading results to discard.
         skip: usize,
@@ -136,10 +135,11 @@ impl Task {
 
     /// Which QoS cost class this task belongs to.
     ///
-    /// NonEmptiness / ModelCheck / Count answer straight from the prepared
-    /// matrices in `O(|F|)`-ish time; Compute and Enumerate walk the
-    /// document and can hold a worker for milliseconds.  Schedulers use the
-    /// split so one burst of scans cannot starve point lookups.
+    /// NonEmptiness / ModelCheck / Count answer from the prepared matrices
+    /// and their per-pair memos in microseconds; Compute and Enumerate
+    /// return up to the whole relation, one tuple at a time, and can hold a
+    /// worker for milliseconds.  Schedulers use the split so one burst of
+    /// scans cannot starve point lookups.
     pub fn class(&self) -> TaskClass {
         match self {
             Task::NonEmptiness | Task::ModelCheck(_) | Task::Count => TaskClass::Cheap,

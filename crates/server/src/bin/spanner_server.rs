@@ -31,11 +31,12 @@
 //! `--data-dir DIR` makes the server durable: corpus verbs are appended to
 //! `DIR/corpus.log`, a snapshot is cut every `--snapshot-every` verbs
 //! (default 256; 0 disables periodic snapshots) or whenever the log grows
-//! past `--snapshot-bytes` (default 0 = no size trigger), and on boot the
-//! store is replayed — tenants, quotas, wire ids and shard layouts come
-//! back bit-identically, with zero `auto_k` re-probing.  A recovered boot
-//! prints `RECOVERED docs=<n> tenants=<n> verbs=<n> snapshot=<bool>`
-//! before `LISTENING`.
+//! past both `--snapshot-bytes` (default 0 = no size trigger) and the
+//! current snapshot's size, and on boot the store is replayed — tenants,
+//! quotas, wire ids and shard layouts come back bit-identically, with zero
+//! `auto_k` re-probing.  A recovered boot prints
+//! `RECOVERED docs=<n> tenants=<n> verbs=<n> snapshot=<bool>` before
+//! `LISTENING`.
 //!
 //! `--slow-log-ms MS` arms the slow-query log: any task slower than MS
 //! milliseconds emits its span tree as one structured JSON line on stderr
@@ -131,7 +132,9 @@ fn main() {
                      [--worker] [--workers ADDR,ADDR,...] \
                      [--hedge-after-ms MS] [--slow-log-ms MS] \
                      [--trace-sample-rate R] [--pipeline-window N] [--sched-workers N] \
-                     [--class-queue-depth N] [--fifo]"
+                     [--class-queue-depth N] [--fifo]\n\n\
+                     --snapshot-bytes B: also snapshot once the log holds B bytes and at \
+                     least the current snapshot's size (0 = no size trigger)"
                 );
                 return;
             }

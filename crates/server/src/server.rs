@@ -91,9 +91,9 @@
 //! successful corpus mutation — registrations with their *resolved* shard
 //! counts, removals, tenant changes — is appended to the durable log
 //! before the response is written.  A snapshot is cut every
-//! `snapshot_every` verbs, or once the log reaches `snapshot_bytes`; both
-//! triggers cut it inline, under the lock that serializes corpus
-//! mutations.  [`Server::bind_with`] replays the store on boot,
+//! `snapshot_every` verbs, or once the log reaches both `snapshot_bytes`
+//! and the size of the current snapshot; both triggers cut it inline,
+//! under the lock that serializes corpus mutations.  [`Server::bind_with`] replays the store on boot,
 //! reconstructing tenants, quotas, wire ids (including burned ones) and
 //! shard layouts bit-identically — recorded shard counts are replayed
 //! as-is, so a warm restart runs **zero** `auto_k` probes
@@ -234,10 +234,12 @@ pub struct PersistenceOptions {
     /// Cut a snapshot (and truncate the log) every this many appended
     /// verbs; `0` disables periodic snapshots (the log just grows).
     pub snapshot_every: u64,
-    /// Also cut a snapshot whenever the log reaches this many bytes —
-    /// compaction for remove-heavy corpora whose dead documents would
-    /// otherwise ride the log between cadence cuts.  `0` disables the
-    /// size trigger.
+    /// Also cut a snapshot whenever the log reaches this many bytes and
+    /// the size of the current snapshot — compaction for remove-heavy
+    /// corpora whose dead documents would otherwise ride the log between
+    /// cadence cuts, without rewriting the whole image on every verb when
+    /// one verb's line alone exceeds the threshold.  `0` disables the size
+    /// trigger.
     pub snapshot_bytes: u64,
 }
 
@@ -287,7 +289,8 @@ struct Persist {
     /// Snapshots cut by the every-N-verbs cadence (a snapshot that trips
     /// both triggers at once counts as a cadence cut).
     cadence_snapshots: AtomicU64,
-    /// Snapshots cut because the log reached `snapshot_bytes`.
+    /// Snapshots cut because the log reached `snapshot_bytes` and the
+    /// current snapshot's size.
     size_snapshots: AtomicU64,
 }
 
@@ -307,9 +310,14 @@ impl Persist {
             }
         }
         let metrics = self.store.metrics();
+        // A snapshot rewrites the whole image, so the size trigger also
+        // waits for the log to outgrow the current one: snapshot bytes
+        // written stay within a constant factor of log bytes appended, even
+        // when a single verb's line exceeds `snapshot_bytes`.
+        let size_threshold = self.snapshot_bytes.max(metrics.snapshot_bytes);
         let trigger = if self.snapshot_every > 0 && metrics.log_records >= self.snapshot_every {
             &self.cadence_snapshots
-        } else if self.snapshot_bytes > 0 && metrics.log_bytes >= self.snapshot_bytes {
+        } else if self.snapshot_bytes > 0 && metrics.log_bytes >= size_threshold {
             &self.size_snapshots
         } else {
             return;

@@ -76,6 +76,8 @@ pub struct StoreMetrics {
     pub snapshot_seq: u64,
     /// Seconds since the current snapshot was written (`None` = never).
     pub snapshot_age_secs: Option<u64>,
+    /// Bytes of the current snapshot image (0 = no snapshot).
+    pub snapshot_bytes: u64,
     /// Snapshots written over this handle's lifetime (not persisted across
     /// reopen — a snapshot-rate signal, not durable history).
     pub snapshots: u64,
@@ -88,6 +90,7 @@ struct Inner {
     log_bytes: u64,
     snapshot_seq: u64,
     snapshot_time: Option<SystemTime>,
+    snapshot_bytes: u64,
     snapshots: u64,
 }
 
@@ -123,15 +126,15 @@ impl Store {
     pub fn open(dir: &Path) -> io::Result<(Store, Recovery)> {
         std::fs::create_dir_all(dir)?;
         let snapshot_path = dir.join(SNAPSHOT_FILE);
-        let (mut image, from_snapshot, snapshot_time) = match std::fs::read(&snapshot_path) {
+        let (mut image, snapshot_bytes, snapshot_time) = match std::fs::read(&snapshot_path) {
             Ok(bytes) => {
                 let image = CorpusImage::decode(&bytes).map_err(|e| data_err(e.to_string()))?;
                 let mtime = std::fs::metadata(&snapshot_path)
                     .and_then(|m| m.modified())
                     .ok();
-                (image, true, mtime)
+                (image, Some(bytes.len() as u64), mtime)
             }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => (CorpusImage::default(), false, None),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => (CorpusImage::default(), None, None),
             Err(e) => return Err(e),
         };
         let snapshot_seq = image.last_seq;
@@ -179,6 +182,7 @@ impl Store {
                 log_bytes: clean_end as u64,
                 snapshot_seq,
                 snapshot_time,
+                snapshot_bytes: snapshot_bytes.unwrap_or(0),
                 snapshots: 0,
             }),
         };
@@ -186,7 +190,7 @@ impl Store {
             store,
             Recovery {
                 image,
-                from_snapshot,
+                from_snapshot: snapshot_bytes.is_some(),
                 replayed_verbs,
                 torn_bytes,
             },
@@ -219,9 +223,10 @@ impl Store {
         let mut inner = self.inner.lock().unwrap();
         let tmp_path = self.dir.join(format!("{SNAPSHOT_FILE}.tmp"));
         let final_path = self.dir.join(SNAPSHOT_FILE);
+        let bytes = image.encode();
         {
             let mut tmp = File::create(&tmp_path)?;
-            tmp.write_all(&image.encode())?;
+            tmp.write_all(&bytes)?;
             tmp.sync_all()?;
         }
         std::fs::rename(&tmp_path, &final_path)?;
@@ -233,6 +238,7 @@ impl Store {
         inner.log_bytes = 0;
         inner.snapshot_seq = image.last_seq;
         inner.snapshot_time = Some(SystemTime::now());
+        inner.snapshot_bytes = bytes.len() as u64;
         inner.snapshots += 1;
         Ok(())
     }
@@ -251,6 +257,7 @@ impl Store {
                     .ok()
                     .map(|d| d.as_secs())
             }),
+            snapshot_bytes: inner.snapshot_bytes,
             snapshots: inner.snapshots,
         }
     }

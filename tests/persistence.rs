@@ -204,16 +204,20 @@ fn snapshots_compose_with_the_log_tail() {
 fn log_size_triggers_snapshots_and_attributes_them() {
     let dir = TempDir::new("sizetrigger");
     {
-        // Cadence off; any non-empty log (≥ 1 byte) trips the size trigger,
-        // so every verb cuts one snapshot inline before it is answered.
+        // Cadence off; with no snapshot yet, any non-empty log (≥ 1 byte)
+        // trips the size trigger, so the first verb cuts one inline before
+        // it is answered.  Later cuts also wait for the log to outgrow the
+        // current snapshot: the second line does not, the second and third
+        // together do.
         let server = boot_durable_sized(&dir, 0, 1);
         let mut client = Client::connect(server.local_addr()).unwrap();
         client.add_doc(b"abababab").unwrap();
         client.add_doc(b"aabb").unwrap();
         client.add_doc(b"babaab").unwrap();
         let scrape = client.stats().unwrap();
-        assert_eq!(series(&scrape, SIZE_TRIGGERS), 3, "{scrape}");
-        assert_eq!(series(&scrape, "spanner_store_snapshots_total"), 3);
+        assert_eq!(series(&scrape, SIZE_TRIGGERS), 2, "{scrape}");
+        assert_eq!(series(&scrape, "spanner_store_snapshots_total"), 2);
+        assert_eq!(series(&scrape, "spanner_store_log_records"), 0);
         assert_eq!(series(&scrape, CADENCE_TRIGGERS), 0, "cadence is off");
         client.shutdown().unwrap();
         server.join();
@@ -229,6 +233,32 @@ fn log_size_triggers_snapshots_and_attributes_them() {
     assert_eq!(count, 4);
     client.shutdown().unwrap();
     server.join();
+}
+
+#[test]
+fn size_snapshots_stay_logarithmic_in_a_registration_burst() {
+    // Every `add_doc` line alone exceeds `snapshot_bytes = 1`.  The size
+    // trigger also waits for the log to outgrow the current snapshot, so
+    // the image roughly doubles between cuts: about log₂(64) snapshots for
+    // 64 equal registrations, not one per verb.
+    let dir = TempDir::new("sizeburst");
+    let server = boot_durable_sized(&dir, 0, 1);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    for _ in 0..64 {
+        client.add_doc(b"abababababababab").unwrap();
+    }
+    let scrape = client.stats().unwrap();
+    let snapshots = series(&scrape, "spanner_store_snapshots_total");
+    assert_eq!(series(&scrape, SIZE_TRIGGERS), snapshots);
+    assert!(
+        (1..=8).contains(&snapshots),
+        "{snapshots} snapshots for 64 verbs"
+    );
+    client.shutdown().unwrap();
+    server.join();
+    let server = boot_durable_sized(&dir, 0, 1);
+    assert_eq!(server.recovery().unwrap().documents, 64);
+    server.shutdown_and_join();
 }
 
 #[test]
