@@ -19,20 +19,22 @@
 //!   automaton when absent, so they never need to cross a process
 //!   boundary), the pass's wall-clock, and whether the executor had to
 //!   fall back;
-//! * a [`ShardExecutor`] turns jobs into outcomes.  [`LocalExecutor`] is
-//!   the default in-process backend (the one depth-strata pass that
+//! * a [`ShardExecutor`] turns all of a build's jobs into outcomes, in one
+//!   call, and decides how they run.  [`LocalExecutor`] is the default
+//!   in-process backend: it runs the jobs in order on the calling thread,
+//!   each through the same pass that
 //!   [`Preprocessed::build`](crate::matrices::Preprocessed::build) runs
-//!   over the whole grammar); `spanner-server`'s
-//!   `RemoteExecutor` ships jobs to worker processes over the wire
-//!   protocol and falls back to [`LocalExecutor`] when a worker fails, so
-//!   results are never lost.
+//!   over the whole grammar.  `spanner-server`'s `RemoteExecutor` keeps
+//!   every job in flight at once, ships them to worker processes over the
+//!   wire protocol and falls back to [`LocalExecutor`] when a worker
+//!   fails, so results are never lost.
 //!
-//! The contract every executor must honour: the returned `rows` must be
-//! exactly what [`LocalExecutor`] would produce for the same job (the
-//! summaries are deterministic pure functions of the block and the
-//! automaton), and `rows.len()` must equal the block's rule count.  The
-//! gather phase validates the shape of every outcome and reruns a
-//! malformed one in-process, counting it in
+//! The contract every executor must honour: one outcome per job, in job
+//! order; each outcome's `rows` must be exactly what [`LocalExecutor`]
+//! would produce for the same job (the summaries are deterministic pure
+//! functions of the block and the automaton), and `rows.len()` must equal
+//! the block's rule count.  The gather phase validates the shape of every
+//! outcome and reruns a malformed one in-process, counting it in
 //! [`ShardBuildStats::fallbacks`](crate::matrices::ShardBuildStats::fallbacks),
 //! rather than assembling corrupt matrices.
 
@@ -102,15 +104,17 @@ pub struct ShardOutcome {
     pub spans: Vec<SpanRec>,
 }
 
-/// A backend that runs one shard's matrix pass.  Implementations must be
-/// shareable across threads: a sharded build scatters its jobs
-/// concurrently, and a [`Service`](crate::service::Service) holds one
-/// executor for every document it serves.
+/// A backend that runs a sharded build's shard passes.  Implementations
+/// must be shareable across threads: a [`Service`](crate::service::Service)
+/// holds one executor for every document it serves, and serves requests
+/// from many threads at once.
 ///
 /// See the module docs for the output contract.
 pub trait ShardExecutor: fmt::Debug + Send + Sync {
-    /// Runs the Lemma 6.5 pass over one shard block.
-    fn execute(&self, job: &ShardJob<'_>) -> ShardOutcome;
+    /// Runs the Lemma 6.5 pass over every job's shard block and returns
+    /// the outcomes in job order.  How the jobs run (in order, or all in
+    /// flight together) is the executor's choice.
+    fn execute(&self, jobs: &[ShardJob<'_>]) -> Vec<ShardOutcome>;
 
     /// A short human-readable backend name (for logs and experiments).
     fn name(&self) -> &'static str {
@@ -118,42 +122,48 @@ pub trait ShardExecutor: fmt::Debug + Send + Sync {
     }
 }
 
-/// The in-process backend: leaf tables plus the depth-strata `R_A` wave
-/// schedule over the block, exactly the pass a monolithic
+/// The in-process backend: runs the jobs one after another on the calling
+/// thread, each through exactly the pass a monolithic
 /// [`Preprocessed::build`](crate::matrices::Preprocessed::build) runs —
-/// entry-identical output, and still the default for every service.
+/// entry-identical output, and still the default for every service.  It
+/// starts no thread.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LocalExecutor;
 
+/// One job's pass, timed, with its `shard_pass` span when sampled.
+fn local_pass(job: &ShardJob<'_>) -> ShardOutcome {
+    let start = Instant::now();
+    let (rows, leaf_tables) = block_pass(job.nfa, job.block);
+    let elapsed = start.elapsed();
+    let spans = match &job.trace {
+        Some(trace) if trace.ctx.sampled => vec![SpanRec {
+            name: "shard_pass".to_string(),
+            start_us: trace.offset_us(start),
+            dur_us: elapsed.as_micros() as u64,
+            parent: None,
+            attrs: vec![
+                ("shard".to_string(), job.shard_index.to_string()),
+                (
+                    "rules".to_string(),
+                    job.block.num_non_terminals().to_string(),
+                ),
+            ],
+        }],
+        _ => Vec::new(),
+    };
+    ShardOutcome {
+        rows,
+        leaf_tables: Some(leaf_tables),
+        elapsed,
+        fallback: false,
+        hedged: false,
+        spans,
+    }
+}
+
 impl ShardExecutor for LocalExecutor {
-    fn execute(&self, job: &ShardJob<'_>) -> ShardOutcome {
-        let start = Instant::now();
-        let (rows, leaf_tables) = block_pass(job.nfa, job.block);
-        let elapsed = start.elapsed();
-        let spans = match &job.trace {
-            Some(trace) if trace.ctx.sampled => vec![SpanRec {
-                name: "shard_pass".to_string(),
-                start_us: trace.offset_us(start),
-                dur_us: elapsed.as_micros() as u64,
-                parent: None,
-                attrs: vec![
-                    ("shard".to_string(), job.shard_index.to_string()),
-                    (
-                        "rules".to_string(),
-                        job.block.num_non_terminals().to_string(),
-                    ),
-                ],
-            }],
-            _ => Vec::new(),
-        };
-        ShardOutcome {
-            rows,
-            leaf_tables: Some(leaf_tables),
-            elapsed,
-            fallback: false,
-            hedged: false,
-            spans,
-        }
+    fn execute(&self, jobs: &[ShardJob<'_>]) -> Vec<ShardOutcome> {
+        jobs.iter().map(local_pass).collect()
     }
 
     fn name(&self) -> &'static str {
@@ -179,23 +189,29 @@ mod tests {
         let ended = combined
             .map_terminals(EByte::Byte)
             .append_terminal(EByte::End);
-        for (i, block) in layout.standalone_blocks(ended.rules()).iter().enumerate() {
-            let job = ShardJob {
+        let blocks = layout.standalone_blocks(ended.rules());
+        let jobs: Vec<ShardJob<'_>> = blocks
+            .iter()
+            .enumerate()
+            .map(|(shard_index, block)| ShardJob {
                 nfa: query.nfa(),
                 block,
-                shard_index: i,
+                shard_index,
                 trace: None,
-            };
-            let outcome = LocalExecutor.execute(&job);
+            })
+            .collect();
+        let outcomes = LocalExecutor.execute(&jobs);
+        assert_eq!(outcomes.len(), blocks.len());
+        for (i, (block, outcome)) in blocks.iter().zip(&outcomes).enumerate() {
             assert_eq!(outcome.rows.len(), block.num_non_terminals());
             assert!(!outcome.fallback);
-            // The block is a grammar of its own; a full serial build over it
-            // must agree row-for-row with the executor's pass.
-            let serial = Preprocessed::build_serial(query.nfa(), block, query.num_vars());
-            assert_eq!(outcome.rows, serial.r, "shard {i}");
+            // The block is a grammar of its own; a full build over it must
+            // agree row-for-row with the executor's pass.
+            let whole = Preprocessed::build(query.nfa(), block, query.num_vars());
+            assert_eq!(outcome.rows, whole.r, "shard {i}");
             assert_eq!(
                 outcome.leaf_tables.as_deref().unwrap(),
-                &serial.leaf_tables[..],
+                &whole.leaf_tables[..],
                 "shard {i}"
             );
         }

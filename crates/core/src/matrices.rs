@@ -11,12 +11,10 @@
 //! algorithms.  For *leaf* non-terminals the full `M_{T_x}` tables are tiny
 //! (`O(|M|)` overall) and are precomputed here.
 //!
-//! Every matrix build runs one pass, `block_pass`: independent leaf
-//! tables, then the inner `R_A` summaries over the grammar's depth strata,
-//! each stratum mapped across all cores (serially on a one-CPU host).
+//! Every matrix build runs one serial bottom-up pass, `block_pass`: each
+//! leaf table, then each inner `R_A` summary from its children's.
 //! [`Preprocessed::build`] runs it over the whole grammar,
-//! [`Preprocessed::build_sharded`] per shard block.  The plain bottom-up
-//! [`Preprocessed::build_serial`] is the bit-identical oracle.
+//! [`Preprocessed::build_sharded`] per shard block.
 
 pub use crate::bitmat::RMatrix;
 use crate::executor::{ShardExecutor, ShardJob, ShardOutcome};
@@ -219,13 +217,11 @@ fn leaf_table<T: Terminal>(
     (table, summary)
 }
 
-/// One standalone rule block's full matrix pass (Lemma 6.5): leaf tables,
-/// then the inner `R_A` summaries one depth stratum at a time, each
-/// stratum's entries mapped across cores.  A depth-d rule's children are
-/// shallower, so each stratum reads only strata already done; the maximum
-/// depth is taken over every rule, since rules unreachable from the start
-/// may be deeper than `S₀`.  [`Preprocessed::build`] runs it over the whole
-/// grammar; [`crate::executor::LocalExecutor`], the worker and the gather's
+/// One standalone rule block's full matrix pass (Lemma 6.5), in one
+/// bottom-up loop: a leaf's table and summary, or an inner rule's `R_A`
+/// from its children's, which the order has already filled.
+/// [`Preprocessed::build`] runs it over the whole grammar;
+/// [`crate::executor::LocalExecutor`], the worker and the gather's
 /// fallback over one shard block.  Returns the `R` rows and leaf tables.
 #[allow(clippy::type_complexity)]
 pub(crate) fn block_pass<T: Terminal>(
@@ -234,50 +230,27 @@ pub(crate) fn block_pass<T: Terminal>(
 ) -> (Vec<RMatrix>, Vec<Option<Vec<Vec<PartialMarkerSet>>>>) {
     let q = nfa.num_states();
     let n = block.num_non_terminals();
-    let order = block.bottom_up_order();
     let incoming_markers = incoming_marker_arcs(nfa, q);
     let mut r: Vec<RMatrix> = vec![RMatrix::bot(0); n];
     let mut leaf_tables: Vec<Option<Vec<Vec<PartialMarkerSet>>>> = vec![None; n];
-
-    // Leaf tables M_{T_x}: independent per leaf non-terminal.
-    let leaves: Vec<(NonTerminal, T)> = order
-        .iter()
-        .filter_map(|&a| match block.rule(a) {
-            NfRule::Leaf(x) => Some((a, x)),
-            NfRule::Pair(..) => None,
-        })
-        .collect();
-    let built = rayon::par_map(&leaves, |&(_, x)| leaf_table(nfa, &incoming_markers, q, x));
-    for ((a, _), (table, summary)) in leaves.into_iter().zip(built) {
-        leaf_tables[a.index()] = Some(table);
-        r[a.index()] = summary;
-    }
-
-    // Inner R summaries, one depth stratum at a time.
-    let max_depth = order.iter().map(|&a| block.depth_of(a)).max().unwrap_or(0) as usize;
-    let mut strata: Vec<Vec<NonTerminal>> = vec![Vec::new(); max_depth + 1];
-    for &a in order {
-        if matches!(block.rule(a), NfRule::Pair(..)) {
-            strata[block.depth_of(a) as usize].push(a);
+    for &a in block.bottom_up_order() {
+        match block.rule(a) {
+            NfRule::Leaf(x) => {
+                let (table, summary) = leaf_table(nfa, &incoming_markers, q, x);
+                leaf_tables[a.index()] = Some(table);
+                r[a.index()] = summary;
+            }
+            NfRule::Pair(b, c) => {
+                r[a.index()] = RMatrix::product(&r[b.index()], &r[c.index()]);
+            }
         }
     }
-    for stratum in strata.iter().filter(|s| !s.is_empty()) {
-        let computed = rayon::par_map(stratum, |&a| {
-            let (b, c) = block.children(a).expect("stratum members are inner rules");
-            RMatrix::product(&r[b.index()], &r[c.index()])
-        });
-        for (&a, summary) in stratum.iter().zip(computed) {
-            r[a.index()] = summary;
-        }
-    }
-
     (r, leaf_tables)
 }
 
 impl Preprocessed {
     /// Runs the preprocessing of Lemma 6.5 in time `O(|M| + size(S)·q³)`:
-    /// `block_pass` over the whole grammar, data-parallel over its depth
-    /// strata.  The result is identical to [`Preprocessed::build_serial`].
+    /// `block_pass` over the whole grammar.
     pub fn build<T: Terminal>(
         nfa: &Nfa<MarkedSymbol<T>>,
         slp: &NormalFormSlp<T>,
@@ -287,50 +260,17 @@ impl Preprocessed {
         Self::assemble(nfa, slp, num_vars, r, leaf_tables)
     }
 
-    /// Single-threaded preprocessing, the oracle the tests compare
-    /// [`Preprocessed::build`] and the sharded build against (identical
-    /// output).
-    pub fn build_serial<T: Terminal>(
-        nfa: &Nfa<MarkedSymbol<T>>,
-        slp: &NormalFormSlp<T>,
-        num_vars: usize,
-    ) -> Self {
-        let q = nfa.num_states();
-        let n = slp.num_non_terminals();
-        let incoming_markers = incoming_marker_arcs(nfa, q);
-
-        // Leaf tables M_{T_x} and their R summaries.
-        let mut leaf_tables: Vec<Option<Vec<Vec<PartialMarkerSet>>>> = vec![None; n];
-        let mut r: Vec<RMatrix> = vec![RMatrix::bot(0); n];
-        for &a in slp.bottom_up_order() {
-            if let NfRule::Leaf(x) = slp.rule(a) {
-                let (table, summary) = leaf_table(nfa, &incoming_markers, q, x);
-                leaf_tables[a.index()] = Some(table);
-                r[a.index()] = summary;
-            }
-        }
-
-        // R for inner non-terminals, bottom-up (Lemma 6.5 proof).
-        for &a in slp.bottom_up_order() {
-            if let NfRule::Pair(b, c) = slp.rule(a) {
-                r[a.index()] = RMatrix::product(&r[b.index()], &r[c.index()]);
-            }
-        }
-
-        Self::assemble(nfa, slp, num_vars, r, leaf_tables)
-    }
-
     /// Scatter-gather preprocessing over a sharded grammar (see
     /// [`slp::shard`]): every shard's rule block is a self-contained
     /// sub-grammar, so its pass runs independently as a [`ShardJob`] on
-    /// `executor` (standalone rebased rules — never the document text), the
-    /// jobs run concurrently, and only the composition spine (shard
-    /// concatenation plus the end-of-document sentinel) is merged at the
-    /// root by three-valued matrix products.  Leaf `M_{T_x}` tables an
+    /// `executor` (standalone rebased rules — never the document text),
+    /// which decides how a build's jobs run, and only the composition
+    /// spine (shard concatenation plus the end-of-document sentinel) is
+    /// merged at the root by three-valued matrix products.  Leaf `M_{T_x}` tables an
     /// executor did not return are rebuilt locally from the automaton.
     ///
     /// Every executor that honours the [`ShardExecutor`] contract yields
-    /// matrices identical to [`Preprocessed::build_serial`]; only
+    /// matrices identical to [`Preprocessed::build`]; only
     /// [`Preprocessed::shards`] records the composition plan.  The returned
     /// [`ShardBuildStats`] report the per-shard and merge wall-clock.  With
     /// a sampled `trace`, executors record per-shard spans in the request
@@ -380,9 +320,9 @@ impl Preprocessed {
         let unique: Vec<usize> = (0..blocks.len()).filter(|&i| canonical[i] == i).collect();
         let deduped = blocks.len() - unique.len();
 
-        // Scatter: one self-contained job per *unique* shard block, fanned
-        // out concurrently over the executor (for remote executors that
-        // means wire calls to several workers in flight).
+        // Scatter: one self-contained job per *unique* shard block, all
+        // handed to the executor in one call (a remote executor keeps them
+        // in flight together; the local one runs them in order).
         let jobs: Vec<ShardJob<'_>> = unique
             .iter()
             .map(|&shard_index| ShardJob {
@@ -392,7 +332,7 @@ impl Preprocessed {
                 trace,
             })
             .collect();
-        let unique_outcomes = rayon::par_map(&jobs, |job| executor.execute(job));
+        let unique_outcomes = executor.execute(&jobs);
 
         // Fan the unique outcomes back out to shard order.  Duplicates
         // clone the canonical rows at zero recorded cost but inherit its
@@ -731,8 +671,8 @@ mod tests {
     #[test]
     fn build_handles_unreachable_rules_deeper_than_the_start() {
         // Rule 3 (depth 4) is unreachable from the start symbol (rule 1,
-        // depth 2) but passes SLP validation; the stratum buckets must be
-        // sized by the global maximum depth, not depth(S₀).
+        // depth 2) but passes SLP validation; the pass must fill its row
+        // like any other's.
         use slp::{NfRule, NonTerminal, NormalFormSlp};
         let slp = NormalFormSlp::new(
             vec![
@@ -747,8 +687,9 @@ mod tests {
         let m = figure_2_spanner();
         let prep = PreparedEvaluation::new(&m, &slp).unwrap();
         assert_eq!(prep.slp().document_len(), 3); // "aa" + sentinel
-        let serial = Preprocessed::build_serial(prep.nfa(), prep.slp(), prep.num_vars());
-        assert_eq!(*prep.pre, serial);
+        let r = &prep.pre.r;
+        assert_eq!(r[2], RMatrix::product_scalar(&r[1], &r[1]));
+        assert_eq!(r[3], RMatrix::product_scalar(&r[2], &r[2]));
     }
 
     #[test]
@@ -798,10 +739,10 @@ mod tests {
                     &LocalExecutor,
                     None,
                 );
-                let serial = Preprocessed::build_serial(query.nfa(), &ended, query.num_vars());
+                let whole = Preprocessed::build(query.nfa(), &ended, query.num_vars());
                 // Identical matrices; only the composition plan differs.
-                assert_eq!(via_shards.r, serial.r, "k={k}");
-                assert_eq!(via_shards.leaf_tables, serial.leaf_tables, "k={k}");
+                assert_eq!(via_shards.r, whole.r, "k={k}");
+                assert_eq!(via_shards.leaf_tables, whole.leaf_tables, "k={k}");
                 assert_eq!(via_shards.shards.len(), sharded.k(), "k={k}");
                 assert_eq!(stats.k(), sharded.k());
                 assert!(stats.critical_path() <= stats.total());
@@ -862,13 +803,15 @@ mod tests {
         #[derive(Debug)]
         struct DropsARow;
         impl ShardExecutor for DropsARow {
-            fn execute(&self, job: &ShardJob<'_>) -> ShardOutcome {
-                let mut outcome = LocalExecutor.execute(job);
-                if job.shard_index == 1 {
-                    outcome.rows.pop();
-                    outcome.leaf_tables = None;
+            fn execute(&self, jobs: &[ShardJob<'_>]) -> Vec<ShardOutcome> {
+                let mut outcomes = LocalExecutor.execute(jobs);
+                for (job, outcome) in jobs.iter().zip(&mut outcomes) {
+                    if job.shard_index == 1 {
+                        outcome.rows.pop();
+                        outcome.leaf_tables = None;
+                    }
                 }
-                outcome
+                outcomes
             }
         }
 
@@ -889,9 +832,9 @@ mod tests {
         );
         assert_eq!(stats.deduped, 0, "every shard block is distinct");
         assert_eq!(stats.fallbacks, 1);
-        let serial = Preprocessed::build_serial(query.nfa(), &ended, query.num_vars());
-        assert_eq!(via_shards.r, serial.r);
-        assert_eq!(via_shards.leaf_tables, serial.leaf_tables);
+        let whole = Preprocessed::build(query.nfa(), &ended, query.num_vars());
+        assert_eq!(via_shards.r, whole.r);
+        assert_eq!(via_shards.leaf_tables, whole.leaf_tables);
         let monolithic = PreparedDocument::new(&doc).matrices(&query);
         assert_eq!(
             count_from_matrices(&via_shards),

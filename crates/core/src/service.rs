@@ -32,8 +32,9 @@
 //!   sub-grammars; its matrix builds run one independent pass per shard and
 //!   merge by matrix products at the root, with results identical to the
 //!   monolithic path.  [`TaskResponse::shard_stats`] reports what each
-//!   shard and the merge cost; [`Service::run_batch`] fans requests (and
-//!   thus shard builds) out across a thread scope.
+//!   shard and the merge cost.  How a build's shard passes run is the
+//!   [`ShardExecutor`]'s choice: the default [`LocalExecutor`] runs them
+//!   in order on the request's thread.
 //! * **One global cache budget.**  [`ServiceBuilder::cache_budget`] caps
 //!   the bytes of preprocessed matrices resident *service-wide*: every
 //!   document — and every shard of every document — competes for one pool
@@ -317,14 +318,12 @@ impl TaskKindCounts {
 ///
 /// `cache_hits + cache_misses` need not equal `requests`:
 /// [`Task::ModelCheck`] requests count as neither (they only peek at
-/// resident matrices, see [`RequestStats`]), while the
-/// duplicate pre-build of [`Service::run_batch`] consults it without
-/// counting as requests.
+/// resident matrices, see [`RequestStats`]).
 ///
 /// The snapshot is *request-atomic*: every request commits all its counter
 /// updates (request total, per-kind count, cache hit/miss) in one step, and
-/// [`Service::stats`] excludes commits in flight — a snapshot taken under a
-/// concurrent [`Service::run_batch`] never observes a request that is
+/// [`Service::stats`] excludes commits in flight — a snapshot taken under
+/// concurrent [`Service::run`]s never observes a request that is
 /// counted in `requests` but missing from `by_task`, or vice versa.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceStats {
@@ -588,14 +587,12 @@ struct Counters {
 }
 
 impl Counters {
-    /// Commits one request (and/or one cache lookup) atomically with
+    /// Commits one request (and its cache lookup, if any) atomically with
     /// respect to [`Counters::snapshot`].
-    fn commit(&self, task: Option<&Task>, lookup: Option<&CacheLookup>) {
+    fn commit(&self, task: &Task, lookup: Option<&CacheLookup>) {
         let _shared = self.gate.read().expect("stats gate poisoned");
-        if let Some(task) = task {
-            self.requests.fetch_add(1, Ordering::Relaxed);
-            self.by_task[task.kind_index()].fetch_add(1, Ordering::Relaxed);
-        }
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.by_task[task.kind_index()].fetch_add(1, Ordering::Relaxed);
         if let Some(lookup) = lookup {
             if lookup.hit {
                 self.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -1115,7 +1112,7 @@ impl Service {
         // Either way its stats report zero cache traffic, and the peek
         // leaves LRU recency alone.
         if let Task::ModelCheck(tuple) = &request.task {
-            self.counters.commit(Some(&request.task), None);
+            self.counters.commit(&request.task, None);
             let exec_from = tracer.map(|t| t.now_us());
             let start = Instant::now();
             let verdict = match document.cached_matrices(&query) {
@@ -1150,7 +1147,7 @@ impl Service {
         // not spend `O(size(S)·q³)` or evict a hot pair from the cache.
         if matches!(request.task, Task::Count | Task::Enumerate { .. }) && !query.is_deterministic()
         {
-            self.counters.commit(Some(&request.task), None);
+            self.counters.commit(&request.task, None);
             return Err(EvalError::NondeterministicAutomaton);
         }
 
@@ -1159,7 +1156,7 @@ impl Service {
         if let Some(t) = tracer {
             self.trace_lookup(t, lookup_from.unwrap_or(0), &lookup);
         }
-        self.counters.commit(Some(&request.task), Some(&lookup));
+        self.counters.commit(&request.task, Some(&lookup));
         self.sweep_if_removed(request.doc, &document, &lookup);
 
         let exec_from = tracer.map(|t| t.now_us());
@@ -1237,41 +1234,12 @@ impl Service {
         }
     }
 
-    /// Serves a batch of requests, fanning out across a thread scope (one
-    /// request after another on a one-CPU host).  Responses are in request
-    /// order.
-    ///
-    /// Requests sharing a (query, document) pair deduplicate through the
-    /// matrix cache.  Pairs that occur more than once in the batch have
-    /// their matrices built once up front, so the duplicate requests fan
-    /// out onto warm caches instead of racing redundant
-    /// `O(size(S)·q³)` builds (the race would be benign, just wasteful);
-    /// distinct cold pairs still build fully in parallel.
+    /// Serves a batch of requests one after another, on the calling
+    /// thread.  Responses are in request order.  Requests sharing a
+    /// (query, document) pair share its matrices: the first builds them,
+    /// the rest hit the cache.
     pub fn run_batch(&self, requests: &[TaskRequest]) -> Vec<Result<TaskResponse, EvalError>> {
-        let mut occurrences: std::collections::HashMap<(usize, usize), usize> =
-            std::collections::HashMap::new();
-        for request in requests {
-            // Model checking never builds matrices — see `run`.
-            if !matches!(request.task, Task::ModelCheck(_)) {
-                *occurrences
-                    .entry((request.query.index(), request.doc.index()))
-                    .or_default() += 1;
-            }
-        }
-        for (&(q, d), &n) in &occurrences {
-            if n > 1 {
-                let query = self.query(QueryId(q));
-                // A document removed mid-batch skips the pre-build; the
-                // individual requests answer with the structured error.
-                let Some(document) = self.try_document(DocumentId(d)) else {
-                    continue;
-                };
-                let (_, lookup) = document.matrices_with_stats(&query);
-                self.counters.commit(None, Some(&lookup));
-                self.sweep_if_removed(DocumentId(d), &document, &lookup);
-            }
-        }
-        rayon::par_map(requests, |request| self.run(request))
+        requests.iter().map(|request| self.run(request)).collect()
     }
 
     /// Serves one [`Task::Enumerate`] request *streamed*: results are
@@ -1317,7 +1285,7 @@ impl Service {
             .try_document(request.doc)
             .ok_or(EvalError::DocumentRemoved)?;
         if !query.is_deterministic() {
-            self.counters.commit(Some(&request.task), None);
+            self.counters.commit(&request.task, None);
             return Err(EvalError::NondeterministicAutomaton);
         }
         let lookup_from = tracer.map(|t| t.now_us());
@@ -1325,7 +1293,7 @@ impl Service {
         if let Some(t) = tracer {
             self.trace_lookup(t, lookup_from.unwrap_or(0), &lookup);
         }
-        self.counters.commit(Some(&request.task), Some(&lookup));
+        self.counters.commit(&request.task, Some(&lookup));
         self.sweep_if_removed(request.doc, &document, &lookup);
 
         let exec_from = tracer.map(|t| t.now_us());
@@ -1693,7 +1661,7 @@ mod tests {
 
     #[test]
     fn stats_snapshot_is_request_atomic_under_run_batch() {
-        // Hammer stats() while a batch fans out; every snapshot must be
+        // Hammer stats() while a batch runs; every snapshot must be
         // internally consistent: the per-kind counts always sum to the
         // request total (a half-committed request would break this).
         let service = Arc::new(Service::new());
@@ -2033,12 +2001,12 @@ mod tests {
             6
         ];
         let batch = service.run_batch(&requests);
-        for response in batch {
-            assert_eq!(response.unwrap().outcome.as_count(), Some(64));
+        for (i, response) in batch.into_iter().enumerate() {
+            let response = response.unwrap();
+            assert_eq!(response.outcome.as_count(), Some(64));
+            // The first request builds the pair; every later one hits.
+            assert_eq!(response.stats.cache_hit, i > 0, "request {i}");
         }
-        // One build total: the pre-build pass, which every request then hit
-        // (on a multi-core host the duplicate requests would otherwise race
-        // redundant builds; on one CPU this holds trivially).
         assert_eq!(service.document(d).cache_stats().misses, 1);
     }
 

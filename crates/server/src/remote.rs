@@ -4,7 +4,8 @@
 //!
 //! A [`RemoteExecutor`] holds the addresses of long-running
 //! `spanner-server --worker` processes.  When a sharded matrix build
-//! scatters, each shard's [`ShardJob`] becomes a `shard_build` frame —
+//! scatters, every job of the build is in flight at once, one scoped
+//! thread each, and each shard's [`ShardJob`] becomes a `shard_build` frame —
 //! the query's end-transformed automaton plus the shard's *standalone
 //! rule block*, never the document text — and the worker answers with the
 //! block's three-valued summaries as packed bitplanes, so the gather leg
@@ -37,8 +38,9 @@
 //!   host the attempts queued behind a timed-out connect fail with it
 //!   instead of each reconnecting, and the adaptive budget learns only
 //!   the winning attempts' round trips, so once the budget has samples
-//!   the host costs each of its shards one budget wait; until then each
-//!   of its shards may wait out a connect timeout.  A restarted worker is
+//!   the host costs each of its shards one budget wait; until then a
+//!   build's shards on it, all in flight together, wait out one connect
+//!   timeout between them.  A restarted worker is
 //!   back as soon as it accepts (its first `need` answer renegotiates the
 //!   forgotten blocks).
 //!
@@ -612,8 +614,10 @@ fn rpc_spans(
     spans
 }
 
-impl ShardExecutor for RemoteExecutor {
-    fn execute(&self, job: &ShardJob<'_>) -> ShardOutcome {
+impl RemoteExecutor {
+    /// One shard's pass: the primary attempt, at most one re-issue, and
+    /// the local fallback.
+    fn execute_one(&self, job: &ShardJob<'_>) -> ShardOutcome {
         let start = Instant::now();
         let payload = Arc::new(Payload::of_job(job));
         // Up-front frame-cap check on the *full* frame: a block the
@@ -755,7 +759,7 @@ impl ShardExecutor for RemoteExecutor {
                         attrs: vec![("shard".to_string(), job.shard_index.to_string())],
                     });
                 }
-                let mut outcome = LocalExecutor.execute(job);
+                let mut outcome = LocalExecutor.execute(&[*job]).remove(0);
                 outcome.fallback = true;
                 outcome.hedged = hedged;
                 // Charge the failed remote attempt (connect, stall, up to
@@ -772,6 +776,21 @@ impl ShardExecutor for RemoteExecutor {
                 outcome
             }
         }
+    }
+}
+
+impl ShardExecutor for RemoteExecutor {
+    fn execute(&self, jobs: &[ShardJob<'_>]) -> Vec<ShardOutcome> {
+        std::thread::scope(|scope| {
+            let passes: Vec<_> = jobs
+                .iter()
+                .map(|job| scope.spawn(move || self.execute_one(job)))
+                .collect();
+            passes
+                .into_iter()
+                .map(|pass| pass.join().expect("shard pass panicked"))
+                .collect()
+        })
     }
 
     fn name(&self) -> &'static str {

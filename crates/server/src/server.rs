@@ -1938,7 +1938,7 @@ fn shard_build(
         };
     }
     let (nfa, block) = (nfa.expect("resolved above"), block.expect("resolved above"));
-    let outcome = LocalExecutor.execute(&ShardJob {
+    let job = ShardJob {
         nfa: &nfa,
         block: &block,
         shard_index: 0,
@@ -1949,7 +1949,8 @@ fn shard_build(
             },
             epoch: received,
         }),
-    });
+    };
+    let outcome = LocalExecutor.execute(&[job]).remove(0);
     shared
         .obs
         .shard_pass

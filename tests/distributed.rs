@@ -1,6 +1,6 @@
 //! Distributed shard execution: a `RemoteExecutor` pool over
 //! `spanner-server --worker` processes must produce matrices
-//! entry-identical to the serial build, ship only summary-sized payloads
+//! entry-identical to the monolithic build, ship only summary-sized payloads
 //! (never the full matrices or the document text), and degrade to local
 //! execution — never losing a result — when workers die mid-build or
 //! answer garbage.
@@ -51,7 +51,7 @@ fn documents() -> Vec<NormalFormSlp<u8>> {
 
 /// The acceptance check: for k ∈ {2, 4, 8} on the paper examples and a
 /// block-family document, a 2-worker `RemoteExecutor` build produces a
-/// `Preprocessed` entry-identical to `build_serial`, with every shard pass
+/// `Preprocessed` entry-identical to the monolithic `build`, with every shard pass
 /// actually running remotely (no fallbacks).
 #[test]
 fn two_worker_remote_builds_are_entry_identical_to_serial() {
@@ -87,19 +87,19 @@ fn two_worker_remote_builds_are_entry_identical_to_serial() {
                 assert_eq!(stats.k(), service.document(d).shard_count());
 
                 // Entry-identical matrices: every R row and every leaf
-                // table equals the serial build's.
+                // table equals the monolithic build's.
                 let prepared_query = service.query(q);
                 let document = service.document(d);
                 let via_remote = document
                     .cached_matrices(&prepared_query)
                     .expect("the build is resident");
-                let serial = Preprocessed::build_serial(
+                let whole = Preprocessed::build(
                     prepared_query.nfa(),
                     document.ended(),
                     prepared_query.num_vars(),
                 );
-                assert_eq!(via_remote.r, serial.r, "k={k}");
-                assert_eq!(via_remote.leaf_tables, serial.leaf_tables, "k={k}");
+                assert_eq!(via_remote.r, whole.r, "k={k}");
+                assert_eq!(via_remote.leaf_tables, whole.leaf_tables, "k={k}");
             }
         }
     }
@@ -247,17 +247,17 @@ fn worker_failures_fall_back_to_local_with_identical_matrices() {
         assert_eq!(stats.fallbacks, k, "every shard fell back");
         assert_eq!(executor.fallback_count(), k as u64);
         assert_eq!(executor.remote_pass_count(), 0);
-        // ...and the matrices are entry-identical to the serial build.
+        // ...and the matrices are entry-identical to the monolithic build.
         let prepared_query = service.query(q);
         let document = service.document(d);
         let via_fallback = document.cached_matrices(&prepared_query).unwrap();
-        let serial = Preprocessed::build_serial(
+        let whole = Preprocessed::build(
             prepared_query.nfa(),
             document.ended(),
             prepared_query.num_vars(),
         );
-        assert_eq!(via_fallback.r, serial.r);
-        assert_eq!(via_fallback.leaf_tables, serial.leaf_tables);
+        assert_eq!(via_fallback.r, whole.r);
+        assert_eq!(via_fallback.leaf_tables, whole.leaf_tables);
     }
 }
 
@@ -439,4 +439,52 @@ fn an_unreachable_worker_does_not_queue_builds_behind_its_connects() {
     );
     drop(held);
     drop(listener);
+}
+
+/// A build keeps all its shards in flight at once, so the first cold
+/// build against an unreachable host waits out one connect timeout, not
+/// one per shard placed on it: the attempts queued behind the timed-out
+/// connect fail with it and go to the live worker together.
+#[test]
+fn a_first_build_waits_out_one_connect_timeout_for_an_unreachable_worker() {
+    let timeout = Duration::from_secs(1);
+    let live = boot_worker();
+    let (listener, held) = unanswered_listener();
+    let executor = Arc::new(
+        RemoteExecutor::new([
+            live.local_addr().to_string(),
+            listener.local_addr().unwrap().to_string(),
+        ])
+        .with_timeout(timeout),
+    );
+    let query = compile_query(".*x{a+}y{b+}.*", b"ab").unwrap();
+    let doc = block_document(8192);
+    let service = Service::builder().shard_executor(executor.clone()).build();
+    let q = service.add_query(&query);
+    let d = service.add_document_sharded(&doc, 16);
+    let started = Instant::now();
+    let response = service
+        .run(&TaskRequest {
+            query: q,
+            doc: d,
+            task: Task::Count,
+        })
+        .unwrap();
+    let elapsed = started.elapsed();
+    assert_eq!(
+        response.outcome.as_count(),
+        Some(SlpSpanner::new(&query, &doc).unwrap().count())
+    );
+    assert_eq!(executor.fallback_count(), 0);
+    assert!(
+        executor.hedge_count() >= 1,
+        "the unreachable host's shards fail over"
+    );
+    assert!(
+        elapsed < timeout * 2,
+        "the first k = 16 build took {elapsed:?}"
+    );
+    drop(held);
+    drop(listener);
+    live.shutdown_and_join();
 }

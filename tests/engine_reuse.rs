@@ -1,16 +1,18 @@
 //! Integration tests for the two-stage evaluation engine behind the
 //! `Service` pool: query-side preparation is shared across documents,
 //! document-side preparation across queries, batch evaluation matches
-//! per-pair evaluation, and the depth-strata matrix pass is output-identical
-//! to the serial oracle.
+//! per-pair evaluation, and the matrix pass equals an independent
+//! scalar-kernel fold.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use slp_spanner::eval::matrices::Preprocessed;
-use slp_spanner::eval::prepared::end_transform_count;
+use slp_spanner::automata::nfa::{Label, Nfa};
+use slp_spanner::eval::matrices::{Preprocessed, REntry, RMatrix};
+use slp_spanner::eval::prepared::{end_transform_count, EByte};
 use slp_spanner::prelude::*;
 use slp_spanner::slp::compress::Chain;
-use slp_spanner::slp::families;
+use slp_spanner::slp::{families, NfRule};
+use slp_spanner::spanner::MarkedSymbol;
 use std::collections::BTreeSet;
 use std::sync::Mutex;
 
@@ -112,8 +114,7 @@ fn document_preparation_is_shared_across_queries() {
 }
 
 /// `Service::run_batch` over the full query × document cross-product
-/// returns exactly what a fresh `SlpSpanner` per pair computes — it is the
-/// one batch fan-out point.
+/// returns exactly what a fresh `SlpSpanner` per pair computes.
 #[test]
 fn run_batch_matches_fresh_slp_spanner_per_pair() {
     let _guard = COUNTER_LOCK.lock().unwrap();
@@ -157,15 +158,42 @@ fn run_batch_matches_fresh_slp_spanner_per_pair() {
     }
 }
 
-/// `Preprocessed::build` — the one depth-strata pass, each stratum mapped
-/// across cores — produces matrices identical to the plain bottom-up
-/// `build_serial` oracle.  Besides the shared documents, two inputs cover
-/// both arms of `par_map`: a Chain grammar holds one rule per stratum (the
-/// serial arm), and RePair over a seeded random `{a,b}` text of 2 000
-/// symbols has strata wider than the thread count (the spawning arm).  On
-/// a one-CPU host every stratum takes the serial arm.
+/// `R_{T_x}` read straight off the automaton's arcs: `1` where a marker
+/// set read from `i` reaches a state that reads `x` into `j`, else `℮`
+/// where `i` reads `x` into `j`, else `⊥`.
+fn leaf_summary(nfa: &Nfa<MarkedSymbol<EByte>>, x: EByte) -> RMatrix {
+    let q = nfa.num_states();
+    let arcs: Vec<_> = nfa.arcs().collect();
+    let reads_x = |p: usize, t: usize| {
+        arcs.iter()
+            .any(|&(s, l, u)| (s, l, u) == (p, Label::Symbol(MarkedSymbol::Terminal(x)), t))
+    };
+    let mut summary = RMatrix::bot(q);
+    for i in 0..q {
+        for j in 0..q {
+            let marked = arcs.iter().any(|&(s, l, p)| {
+                s == i && matches!(l, Label::Symbol(MarkedSymbol::Markers(_))) && reads_x(p, j)
+            });
+            let entry = if marked {
+                REntry::NonEmpty
+            } else if reads_x(i, j) {
+                REntry::Empty
+            } else {
+                REntry::Bot
+            };
+            summary.set(i, j, entry);
+        }
+    }
+    summary
+}
+
+/// `Preprocessed::build`'s `R` matrices equal an independent oracle: the
+/// leaf summaries read off the automaton, folded bottom-up with the scalar
+/// kernel `RMatrix::product_scalar`.  Besides the shared documents, a
+/// Chain grammar (one rule per depth) and RePair over a seeded random
+/// `{a,b}` text of 2 000 symbols.
 #[test]
-fn parallel_matrices_equal_serial_matrices() {
+fn matrices_equal_a_scalar_fold_over_the_leaf_summaries() {
     let _guard = COUNTER_LOCK.lock().unwrap();
     let mut rng = StdRng::seed_from_u64(21);
     let random_text: Vec<u8> = (0..2_000)
@@ -177,16 +205,21 @@ fn parallel_matrices_equal_serial_matrices() {
     docs.push(RePair::default().compress(&random_text));
     for query in &queries() {
         let prepared = PreparedQuery::determinized(query);
+        let nfa = prepared.nfa();
         for doc in &docs {
             let prepared_doc = PreparedDocument::new(doc);
-            let via_build =
-                Preprocessed::build(prepared.nfa(), prepared_doc.ended(), prepared.num_vars());
-            let serial = Preprocessed::build_serial(
-                prepared.nfa(),
-                prepared_doc.ended(),
-                prepared.num_vars(),
-            );
-            assert_eq!(via_build, serial);
+            let slp = prepared_doc.ended();
+            let mut oracle = vec![RMatrix::bot(0); slp.num_non_terminals()];
+            for &a in slp.bottom_up_order() {
+                oracle[a.index()] = match slp.rule(a) {
+                    NfRule::Leaf(x) => leaf_summary(nfa, x),
+                    NfRule::Pair(b, c) => {
+                        RMatrix::product_scalar(&oracle[b.index()], &oracle[c.index()])
+                    }
+                };
+            }
+            let built = Preprocessed::build(nfa, slp, prepared.num_vars());
+            assert_eq!(built.r, oracle);
         }
     }
 }

@@ -5,7 +5,7 @@
 //! protocol layer, hedged shard passes completing under stragglers and
 //! mid-hedge kills, and shards whose primary worker is dead re-issued to
 //! their second choice — always with results entry-identical to the
-//! serial build.
+//! monolithic build.
 
 use slp_spanner::eval::matrices::Preprocessed;
 use slp_spanner::prelude::*;
@@ -111,7 +111,7 @@ fn proxy(delay: Duration) -> (SocketAddr, Arc<Mutex<Option<SocketAddr>>>) {
 }
 
 /// Runs one count through a fresh service wired to `executor` and checks
-/// the cached matrices against the serial build.
+/// the cached matrices against the monolithic build.
 fn build_and_check(
     executor: &Arc<RemoteExecutor>,
     query: &SpannerAutomaton<u8>,
@@ -134,13 +134,13 @@ fn build_and_check(
     let prepared_query = service.query(q);
     let document = service.document(d);
     let via_fleet = document.cached_matrices(&prepared_query).unwrap();
-    let serial = Preprocessed::build_serial(
+    let whole = Preprocessed::build(
         prepared_query.nfa(),
         document.ended(),
         prepared_query.num_vars(),
     );
-    assert_eq!(via_fleet.r, serial.r, "fleet build must be entry-identical");
-    assert_eq!(via_fleet.leaf_tables, serial.leaf_tables);
+    assert_eq!(via_fleet.r, whole.r, "fleet build must be entry-identical");
+    assert_eq!(via_fleet.leaf_tables, whole.leaf_tables);
     count
 }
 
@@ -474,13 +474,13 @@ fn workers_killed_mid_hedge_fall_back_entry_identical() {
     let prepared_query = service.query(q);
     let document = service.document(d);
     let via_fallback = document.cached_matrices(&prepared_query).unwrap();
-    let serial = Preprocessed::build_serial(
+    let whole = Preprocessed::build(
         prepared_query.nfa(),
         document.ended(),
         prepared_query.num_vars(),
     );
-    assert_eq!(via_fallback.r, serial.r);
-    assert_eq!(via_fallback.leaf_tables, serial.leaf_tables);
+    assert_eq!(via_fallback.r, whole.r);
+    assert_eq!(via_fallback.leaf_tables, whole.leaf_tables);
 }
 
 /// A failed primary is re-issued to its second-choice worker, like a
